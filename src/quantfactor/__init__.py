@@ -12,7 +12,6 @@ from .admm import (
     estimate_rank,
     estimate_sparsity,
     fit,
-    fit_no_covariates,
     solve_zw_joint,
     support_mask,
 )

@@ -1,10 +1,11 @@
 """Scaled ADMM solver for pinball or squared loss with l1 and nuclear-norm penalties.
 
-The full problem splits as V = W, W = Y - X theta - Z_Pi, Z_Pi = Pi, Z_theta = theta,
-with scaled duals U_V, U_W, U_Pi, U_theta.  Every block update has a closed form:
-a pinball (or squared-loss) prox for V, a cached Gram solve for theta, singular
-value thresholding for Pi, soft thresholding for Z_theta, and a 2x2 linear
-system solved jointly for (Z_Pi, W).
+The problem splits as V = W, W = Y - X theta - Z_Pi, Z_Pi = Pi, Z_theta = theta,
+with scaled duals U_V, U_W, U_Pi, U_theta.  Every block update is an exact prox
+or an exact minimizer in closed form: a pinball (or squared-loss) prox for V, a
+cached Gram solve for theta, singular value thresholding for Pi, soft
+thresholding for Z_theta, and a 2x2 linear system solved jointly for (Z_Pi, W).
+A panel without covariates (p = 0) runs the same loop with empty theta blocks.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ class GramCache:
     """
 
     def __init__(self, data: PanelData):
-        if data.p < 1:
-            raise ValueError("GramCache requires at least one covariate")
-        self.x_flat = np.ascontiguousarray(data.x.reshape(-1, data.p))
+        self.x_flat = np.ascontiguousarray(data.x.reshape(data.n * data.t_len, data.p))
         gram = self.x_flat.T @ self.x_flat + np.eye(data.p)
         self._factor = cho_factor(gram)
 
@@ -135,8 +134,7 @@ def admm_residuals(state: AdmmState, data: PanelData):
     dual:   eta times the norm of the change in (W, Z_Pi, Z_theta) since the
             previous sweep.
     """
-    xth = data.x @ state.theta if data.p else np.zeros(data.y.shape)
-    return _residuals(state, data.y, xth)
+    return _residuals(state, data.y, data.x @ state.theta)
 
 
 def _residuals(state: AdmmState, y: np.ndarray, xth: np.ndarray):
@@ -192,10 +190,14 @@ def fit(
 ) -> QuantileFit:
     """Solve the penalized panel regression at one (nu1, nu2) pair.
 
+    The one solver loop: every panel, with or without covariates, runs the
+    same scaled ADMM sweeps.
+
     Parameters
     ----------
     data : PanelData
-        Balanced panel.  With p = 0 the problem routes to fit_no_covariates.
+        Balanced panel.  With p = 0 theta is empty and only Pi is estimated;
+        the theta, Z_theta and U_theta blocks are then zero-length.
     config : SolverConfig
         Loss, penalties, and stopping rule.  With fix_pi_zero the low-rank
         part is pinned at zero and nu2 is ignored.
@@ -215,10 +217,8 @@ def fit(
     the singular-value-threshold iterate, so support and rank counts reflect
     exact zeros.
     """
-    if data.p == 0:
-        if config.fix_pi_zero:
-            raise ValueError("fix_pi_zero with p = 0 leaves nothing to estimate")
-        return fit_no_covariates(data.y, config)
+    if data.p == 0 and config.fix_pi_zero:
+        raise ValueError("fix_pi_zero with p = 0 leaves nothing to estimate")
     if scales is None:
         scales = compute_column_scales(data)
     if scales.p != data.p:
@@ -245,7 +245,6 @@ def fit(
     svt_threshold = config.nu2 / eta
     squared = config.loss == "squared"
     fix_pi = config.fix_pi_zero
-    bound = config.pi_inf_bound
     svals = np.zeros(min(n, t_len))
 
     converged = False
@@ -272,8 +271,6 @@ def fit(
             svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold)
             s.pi = svt.matrix
             svals = svt.singular_values_after
-            if bound is not None:
-                s.pi = np.clip(s.pi, -bound, bound)
 
         # Z_theta: soft threshold with the scale-weighted l1 level.
         s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
@@ -318,79 +315,5 @@ def fit(
         dual_residual=dual,
         rank_estimate=estimate_rank(svals),
         sparsity_estimate=estimate_sparsity(theta_hat),
-        singular_values=svals.copy(),
-    )
-
-
-def fit_no_covariates(y, config: SolverConfig, callback=None) -> QuantileFit:
-    """Low-rank quantile recovery without covariates.
-
-    Alternates a loss prox on Pi, singular value thresholding on the slack
-    Z_Pi, and a dual step; the returned estimate is the Z_Pi iterate, whose
-    thresholded spectrum carries the exact rank.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise DimensionMismatch(f"y must be 2-d, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("y contains non-finite entries")
-    n, t_len = y.shape
-    nt = n * t_len
-    eta = config.eta
-    kappa = 1.0 / (nt * eta)
-    threshold = config.nu2 / eta
-    squared = config.loss == "squared"
-
-    pi = np.zeros((n, t_len))
-    z_pi = np.zeros((n, t_len))
-    u_pi = np.zeros((n, t_len))
-    svals = np.zeros(min(n, t_len))
-
-    converged = False
-    primal = dual = np.inf
-    sweep = 0
-    for sweep in range(1, config.max_iter + 1):
-        z_prev = z_pi
-        target = y - z_pi + u_pi
-        resid = prox_squared(target, eta, nt) if squared else prox_pinball(
-            target, config.tau, kappa
-        )
-        pi = y - resid
-        svt = singular_value_threshold(pi + u_pi, threshold)
-        z_pi = svt.matrix
-        svals = svt.singular_values_after
-        if config.pi_inf_bound is not None:
-            z_pi = np.clip(z_pi, -config.pi_inf_bound, config.pi_inf_bound)
-        u_pi = u_pi + (pi - z_pi)
-
-        if not (np.isfinite(pi).all() and np.isfinite(z_pi).all()):
-            raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-        primal = float(np.linalg.norm(pi - z_pi))
-        dual = float(eta * np.linalg.norm(z_pi - z_prev))
-        if callback is not None:
-            callback(sweep, primal, dual)
-        eps_primal = config.tol_abs * np.sqrt(nt) + config.tol_rel * max(
-            np.linalg.norm(pi), np.linalg.norm(z_pi)
-        )
-        eps_dual = config.tol_abs * np.sqrt(nt) + config.tol_rel * eta * np.linalg.norm(
-            u_pi
-        )
-        if primal <= eps_primal and dual <= eps_dual:
-            converged = True
-            break
-
-    data = PanelData.without_covariates(y)
-    objective = penalized_objective(data, np.zeros(0), z_pi, config, None)
-    return QuantileFit(
-        tau=config.tau,
-        theta=np.zeros(0),
-        pi=z_pi,
-        objective=objective,
-        iterations=sweep,
-        converged=converged,
-        primal_residual=primal,
-        dual_residual=dual,
-        rank_estimate=estimate_rank(svals),
-        sparsity_estimate=0,
         singular_values=svals.copy(),
     )

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import admm
 from .errors import PanelFormatError, QuantfactorError
 from .factors import extract_factors, variance_explained
-from .panel import SolverConfig, compute_column_scales
+from .panel import LOSSES, SolverConfig, compute_column_scales
 from .panel_io import (
     RunConfig,
     read_matrix_csv,
@@ -45,13 +45,13 @@ def _str_list(text: str):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--eta", type=float, default=1.0)
-    sub.add_argument("--max-iter", type=int, default=5000)
-    sub.add_argument("--tol-abs", type=float, default=1e-6)
-    sub.add_argument("--tol-rel", type=float, default=1e-5)
-    sub.add_argument("--loss", choices=("quantile", "squared"), default="quantile")
-    sub.add_argument("--fix-pi-zero", action="store_true")
-    sub.add_argument("--pi-inf-bound", type=float, default=None)
+    d = SolverConfig()
+    sub.add_argument("--eta", type=float, default=d.eta)
+    sub.add_argument("--max-iter", type=int, default=d.max_iter)
+    sub.add_argument("--tol-abs", type=float, default=d.tol_abs)
+    sub.add_argument("--tol-rel", type=float, default=d.tol_rel)
+    sub.add_argument("--loss", choices=LOSSES, default=d.loss)
+    sub.add_argument("--fix-pi-zero", action="store_true", default=d.fix_pi_zero)
 
 
 def _add_design_flags(sub):
@@ -71,15 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit", help="fit one (nu1, nu2) pair per quantile")
     p_fit.add_argument("--panel", required=True)
-    p_fit.add_argument("--tau", type=_float_list, default=(0.5,))
-    p_fit.add_argument("--nu1", type=float, default=0.0)
-    p_fit.add_argument("--nu2", type=float, default=0.0)
+    p_fit.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,))
+    p_fit.add_argument("--nu1", type=float, default=SolverConfig.nu1)
+    p_fit.add_argument("--nu2", type=float, default=SolverConfig.nu2)
     _add_solver_flags(p_fit)
     p_fit.add_argument("--out", default=".")
 
     p_tune = subs.add_parser("tune", help="grid search scored by modified BIC")
     p_tune.add_argument("--panel", required=True)
-    p_tune.add_argument("--tau", type=_float_list, default=(0.5,))
+    p_tune.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,))
     p_tune.add_argument("--grid-nu1", type=_float_list, default=None)
     p_tune.add_argument("--grid-nu2", type=_float_list, default=None)
     p_tune.add_argument("--c1", type=float, default=None)
@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_flags(p_bench)
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--methods", type=_str_list, default=("l1nnqr",))
-    p_bench.add_argument("--tau", type=_float_list, default=(0.5,))
     p_bench.add_argument("--grid-nu1", type=_float_list, default=None)
     p_bench.add_argument("--grid-nu2", type=_float_list, default=None)
     p_bench.add_argument("--c1", type=float, default=None)
@@ -110,29 +109,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    payload = {}
+def _run_config(args: argparse.Namespace):
+    """The RunConfig of one invocation, and the echo of the flags it took.
+
+    The echo lists only the fields the subcommand has flags for, so an output
+    never records settings the command did not use.  It leaves out the
+    output directory: that is where the file already sits, and echoing it
+    would break byte-identity of reruns into different directories.
+    """
+    names = {f.name for f in fields(RunConfig)}
+    payload, taken = {}, []
     for key, value in vars(args).items():
         name = {"tau": "taus"}.get(key, key)
-        if name in fields and value is not None:
-            payload[name] = value
-    return RunConfig(**payload)
+        if name in names:
+            taken.append(name)
+            if value is not None:
+                payload[name] = value
+    cfg = RunConfig(**payload)
+    echo = {name: getattr(cfg, name) for name in taken if name != "out"}
+    return cfg, echo
 
 
 def _solver_config(cfg: RunConfig, tau: float) -> SolverConfig:
-    return SolverConfig(
-        tau=tau,
-        nu1=cfg.nu1,
-        nu2=cfg.nu2,
-        eta=cfg.eta,
-        max_iter=cfg.max_iter,
-        tol_abs=cfg.tol_abs,
-        tol_rel=cfg.tol_rel,
-        loss=cfg.loss,
-        fix_pi_zero=cfg.fix_pi_zero,
-        pi_inf_bound=cfg.pi_inf_bound,
-    )
+    solver = {f.name: getattr(cfg, f.name) for f in fields(SolverConfig) if f.name != "tau"}
+    return SolverConfig(tau=tau, **solver)
 
 
 def _grid(cfg: RunConfig) -> TuningGrid:
@@ -148,35 +148,28 @@ def _tau_dir(out: str, tau: float) -> Path:
     return Path(out) / f"tau_{tau:g}"
 
 
-def _write_one_fit(result, data, scales, cfg: RunConfig, tau: float, extra=None):
+def _write_one_fit(result, scales, cfg: RunConfig, echo: dict, tau: float, nu1, nu2):
     decomposition = None
     if result.rank_estimate >= 1:
         decomposition = extract_factors(result.pi, result.rank_estimate)
-    echo = asdict(cfg)
-    # the output directory is where the file already sits; echoing it would
-    # break byte-identity of reruns into different directories
-    echo.pop("out", None)
-    echo["tau"] = tau
-    if extra:
-        echo.update(extra)
+    echo = {**echo, "tau": tau, "nu1": nu1, "nu2": nu2}
     return write_fit(
         result, decomposition, _tau_dir(cfg.out, tau), scales=scales, config_echo=echo
     )
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
+def _cmd_fit(cfg: RunConfig, echo: dict) -> int:
     data = read_panel_csv(cfg.panel)
-    scales = compute_column_scales(data) if data.p else None
+    scales = compute_column_scales(data)
     for tau in cfg.taus:
         result = admm.fit(data, _solver_config(cfg, tau), scales=scales)
-        _write_one_fit(result, data, scales, cfg, tau,
-                       extra={"nu1": cfg.nu1, "nu2": cfg.nu2})
+        _write_one_fit(result, scales, cfg, echo, tau, cfg.nu1, cfg.nu2)
     return 0
 
 
-def _cmd_tune(cfg: RunConfig) -> int:
+def _cmd_tune(cfg: RunConfig, echo: dict) -> int:
     data = read_panel_csv(cfg.panel)
-    scales = compute_column_scales(data) if data.p else None
+    scales = compute_column_scales(data)
     grid = _grid(cfg)
     for tau in cfg.taus:
         report = grid_search(data, grid, _solver_config(cfg, tau), c1=cfg.c1,
@@ -194,19 +187,19 @@ def _cmd_tune(cfg: RunConfig) -> int:
                      row.sparsity, row.rank, f"{row.objective:.17g}",
                      int(row.converged)]
                 )
-        _write_one_fit(report.best_fit, data, scales, cfg, tau,
-                       extra={"nu1": report.best_nu1, "nu2": report.best_nu2})
+        _write_one_fit(report.best_fit, scales, cfg, echo, tau,
+                       report.best_nu1, report.best_nu2)
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: RunConfig, echo: dict) -> int:
     spec = DesignSpec(cfg.design, cfg.n, cfg.t_len, cfg.p, cfg.seed)
     inst = generate(spec)
     write_sim_instance(inst, cfg.out, cfg.seed, cfg.design)
     return 0
 
 
-def _cmd_factors(cfg: RunConfig) -> int:
+def _cmd_factors(cfg: RunConfig, echo: dict) -> int:
     pi = read_matrix_csv(cfg.pi_path)
     decomposition = extract_factors(pi, cfg.rank)
     out_dir = Path(cfg.out)
@@ -224,9 +217,10 @@ def _cmd_factors(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
+def _cmd_bench(cfg: RunConfig, echo: dict) -> int:
     spec = DesignSpec(cfg.design, cfg.n, cfg.t_len, cfg.p, cfg.seed)
-    base = _solver_config(cfg, cfg.taus[0])
+    # the Monte Carlo errors are scored against the median surface
+    base = _solver_config(cfg, 0.5)
     reports = run_monte_carlo(
         spec, cfg.methods, _grid(cfg), cfg.reps,
         oracle_tuning=cfg.oracle, base_config=base, c1=cfg.c1,
@@ -255,14 +249,8 @@ def _cmd_bench(cfg: RunConfig) -> int:
             ):
                 writer.writerow([rep.method, r, f"{te:.17g}", f"{qe:.17g}"])
     with open(out_dir / "bench_config.json", "w", encoding="utf-8") as fh:
-        fh.write(_run_config_json(cfg))
+        json.dump(echo, fh, sort_keys=True, indent=2)
     return 0
-
-
-def _run_config_json(cfg: RunConfig) -> str:
-    payload = json.loads(cfg.to_json())
-    payload.pop("out", None)
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 _COMMANDS = {
@@ -280,9 +268,9 @@ def cli_main(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _run_config(args)
+    cfg, echo = _run_config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command](cfg, echo)
     except (PanelFormatError, FileNotFoundError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

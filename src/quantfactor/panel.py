@@ -99,7 +99,6 @@ class SolverConfig:
     tol_abs/rel  combined absolute/relative stopping tolerances
     loss         "quantile" or "squared"
     fix_pi_zero  solve the plain l1-penalized regression with Pi pinned at 0
-    pi_inf_bound optional entrywise bound C, enforcing |Pi_ij| <= C
     """
 
     tau: float = 0.5
@@ -111,7 +110,6 @@ class SolverConfig:
     tol_rel: float = 1e-5
     loss: str = "quantile"
     fix_pi_zero: bool = False
-    pi_inf_bound: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -126,8 +124,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.pi_inf_bound is not None and self.pi_inf_bound <= 0:
-            raise ValueError("pi_inf_bound must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,10 @@ class QuantileFit:
 def compute_column_scales(data: PanelData) -> ColumnScales:
     """Root mean square of each covariate column over all (i, t) cells.
 
-    Raises DegenerateColumn when a column is identically zero, since its
-    l1 weight would vanish and leave that coordinate unpenalized.
+    A panel without covariates gets empty scales.  Raises DegenerateColumn
+    when a column is identically zero, since its l1 weight would vanish and
+    leave that coordinate unpenalized.
     """
-    if data.p < 1:
-        raise ValueError("panel has no covariate columns")
     mean_sq = np.mean(data.x ** 2, axis=(0, 1))
     if np.any(mean_sq <= 0.0):
         bad = np.flatnonzero(mean_sq <= 0.0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DuplicateCell, EmptyFile, ParseError, UnbalancedPanel
 from .factors import FactorDecomposition
-from .panel import ColumnScales, PanelData, QuantileFit
+from .panel import ColumnScales, PanelData, QuantileFit, SolverConfig
 from .simulate import RNG_ALGORITHM, SimInstance
 
 
@@ -244,16 +244,15 @@ class RunConfig:
     command: str
     panel: str | None = None
     out: str = "."
-    taus: tuple = (0.5,)
-    nu1: float = 0.0
-    nu2: float = 0.0
-    eta: float = 1.0
-    max_iter: int = 5000
-    tol_abs: float = 1e-6
-    tol_rel: float = 1e-5
-    loss: str = "quantile"
-    fix_pi_zero: bool = False
-    pi_inf_bound: float | None = None
+    taus: tuple = (SolverConfig.tau,)
+    nu1: float = SolverConfig.nu1
+    nu2: float = SolverConfig.nu2
+    eta: float = SolverConfig.eta
+    max_iter: int = SolverConfig.max_iter
+    tol_abs: float = SolverConfig.tol_abs
+    tol_rel: float = SolverConfig.tol_rel
+    loss: str = SolverConfig.loss
+    fix_pi_zero: bool = SolverConfig.fix_pi_zero
     grid_nu1: tuple | None = None
     grid_nu2: tuple | None = None
     c1: float | None = None

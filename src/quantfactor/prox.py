@@ -8,16 +8,12 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFiniteInput, SvdFailure
 
-# Singular values below RANK_TOL * sigma_max count as zero.
-RANK_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SvtResult:
     """Output of singular value thresholding with the spectra recorded."""
 
     matrix: np.ndarray
-    rank: int
     singular_values_before: np.ndarray
     singular_values_after: np.ndarray
 
@@ -70,6 +66,4 @@ def singular_value_threshold(m, threshold: float) -> SvtResult:
         raise SvdFailure(f"SVD did not converge on a {m.shape} matrix") from exc
     s_after = np.maximum(s - threshold, 0.0)
     out = (u * s_after) @ vt
-    tol = RANK_TOL * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s_after > tol))
-    return SvtResult(out, rank, s, s_after)
+    return SvtResult(out, s, s_after)

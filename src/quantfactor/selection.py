@@ -101,9 +101,7 @@ def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None)
     """
     if c1 is None:
         c1 = default_c1(data)
-    resid = data.y - fit_result.pi
-    if data.p:
-        resid = resid - data.x @ fit_result.theta
+    resid = data.y - fit_result.pi - data.x @ fit_result.theta
     loss = float(np.sum(pinball_loss(resid, fit_result.tau)))
     n, t_len = data.n, data.t_len
     penalty = (np.log(n * t_len) / 2.0) * (
@@ -127,9 +125,9 @@ def grid_search(
     descending grids and replacing only on strict improvement breaks BIC ties
     toward larger penalties, i.e. the sparser, lower-rank model.
     """
-    if scales is None and data.p:
+    if scales is None:
         scales = compute_column_scales(data)
-    gram = GramCache(data) if data.p else None
+    gram = GramCache(data)
     rows = []
     best_row = None
     best_fit = None

@@ -11,7 +11,6 @@ from quantfactor import (
     admm_residuals,
     compute_column_scales,
     fit,
-    fit_no_covariates,
     penalized_objective,
     solve_zw_joint,
 )
@@ -186,14 +185,6 @@ class TestFit:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
             fit(data, SolverConfig(tau=0.5, nu1=0.1, nu2=0.1, max_iter=50))
 
-    def test_pi_inf_bound_clamps(self):
-        inst = generate(DesignSpec("D1", 10, 10, 2, seed=17))
-        scales = compute_column_scales(inst.data)
-        cfg = SolverConfig(tau=0.5, nu1=1e-4, nu2=1e-3, eta=eta_for(10, 10),
-                           pi_inf_bound=0.5, max_iter=10000)
-        f = fit(inst.data, cfg, scales)
-        assert np.abs(f.pi).max() <= 0.5 + 1e-12
-
     def test_fix_pi_zero_without_covariates_rejected(self):
         data = PanelData.without_covariates(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -260,7 +251,7 @@ class TestAdmmResiduals:
 
 class TestFitNoCovariates:
     def test_zero_input(self):
-        f = fit_no_covariates(np.zeros((3, 3)), SolverConfig(nu2=0.1))
+        f = fit(PanelData.without_covariates(np.zeros((3, 3))), SolverConfig(nu2=0.1))
         np.testing.assert_allclose(f.pi, np.zeros((3, 3)), atol=1e-10)
         assert f.rank_estimate == 0
         assert f.theta.size == 0
@@ -271,14 +262,15 @@ class TestFitNoCovariates:
         v /= np.linalg.norm(v)
         y = 100.0 * np.outer(u, v)
         cfg = SolverConfig(tau=0.5, nu2=1e-4, eta=eta_for(12, 15), max_iter=10000)
-        f = fit_no_covariates(y, cfg)
+        f = fit(PanelData.without_covariates(y), cfg)
         assert f.rank_estimate == 1
         assert np.linalg.norm(f.pi - y) / np.linalg.norm(y) <= 0.05
 
     def test_large_penalty_returns_zero(self):
         rng = np.random.default_rng(39)
         y = rng.standard_normal((6, 8))
-        f = fit_no_covariates(y, SolverConfig(tau=0.5, nu2=1e3, eta=eta_for(6, 8)))
+        cfg = SolverConfig(tau=0.5, nu2=1e3, eta=eta_for(6, 8))
+        f = fit(PanelData.without_covariates(y), cfg)
         assert np.abs(f.pi).max() == 0.0
         assert f.rank_estimate == 0
 
@@ -289,7 +281,7 @@ class TestFitNoCovariates:
         for tau in (0.25, 0.5, 0.75):
             cfg = SolverConfig(tau=tau, nu2=0.0, eta=eta_for(3, 3),
                                max_iter=60000, tol_abs=1e-11, tol_rel=1e-10)
-            fits[tau] = fit_no_covariates(y, cfg)
+            fits[tau] = fit(PanelData.without_covariates(y), cfg)
         # with no penalty each cell fits its own sample quantile, which is y itself
         assert np.all(fits[0.5].pi >= fits[0.25].pi - 1e-6)
         assert np.all(fits[0.75].pi >= fits[0.5].pi - 1e-6)
@@ -301,8 +293,19 @@ class TestFitNoCovariates:
         assert f.theta.size == 0
         np.testing.assert_allclose(f.pi, np.zeros((2, 2)), atol=1e-10)
 
+    def test_init_and_callback_are_honoured(self):
+        rng = np.random.default_rng(41)
+        y = rng.standard_normal((5, 6))
+        cfg = SolverConfig(tau=0.5, nu2=0.05, eta=eta_for(5, 6), max_iter=20000)
+        state = AdmmState.zeros(5, 6, 0, cfg.eta)
+        sweeps = []
+        f = fit(PanelData.without_covariates(y), cfg, init=state,
+                callback=lambda k, pr, du: sweeps.append(k))
+        assert sweeps == list(range(1, f.iterations + 1))
+        np.testing.assert_array_equal(state.pi, f.pi)
+
     def test_rejects_non_finite(self):
         y = np.zeros((2, 2))
         y[0, 0] = np.nan
         with pytest.raises(ValueError):
-            fit_no_covariates(y, SolverConfig())
+            fit(PanelData.without_covariates(y), SolverConfig())

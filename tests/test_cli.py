@@ -4,12 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantfactor import cli_main, read_matrix_csv
+from quantfactor import SolverConfig, cli_main, read_matrix_csv
+from quantfactor.cli import build_parser
 from quantfactor.panel_io import read_panel_csv
 
 
 def run(*args):
     return cli_main([str(a) for a in args])
+
+
+SOLVER_FLAGS = {"eta", "max_iter", "tol_abs", "tol_rel", "loss", "fix_pi_zero"}
 
 
 def simulate_small(tmp_path, seed=7, n=12, t=12, p=2):
@@ -65,6 +69,18 @@ class TestTune:
         table = (out / "tau_0.5" / "selection.csv").read_text().strip().splitlines()
         assert len(table) == 1 + 4  # header plus full grid
 
+    def test_config_echo_lists_only_tune_flags(self, tmp_path):
+        panel = simulate_small(tmp_path, n=10, t=6, p=4)
+        out = tmp_path / "tune"
+        assert run("tune", "--panel", panel, "--grid-nu1", "1e-3",
+                   "--grid-nu2", "1e-2", "--eta", 10.0 / 60, "--out", out) == 0
+        summary = json.loads((out / "tau_0.5" / "summary.json").read_text())
+        assert set(summary["config"]) == SOLVER_FLAGS | {
+            "command", "panel", "taus", "grid_nu1", "grid_nu2", "c1",
+            "tau", "nu1", "nu2",
+        }
+        assert (summary["nu1"], summary["nu2"]) == (1e-3, 1e-2)
+
 
 class TestFactorsCommand:
     def test_decomposes_stored_matrix(self, tmp_path):
@@ -101,6 +117,19 @@ class TestBench:
         assert lines[1].startswith("l1nnqr,D1,15,2,15,2,oracle")
         assert lines[2].startswith("l1qr,D1,15,2,15,2,oracle")
 
+    def test_config_echo_lists_only_bench_flags(self, tmp_path):
+        out = tmp_path / "bench"
+        assert run(*self.bench_args(out)) == 0
+        echo = json.loads((out / "bench_config.json").read_text())
+        assert set(echo) == SOLVER_FLAGS | {
+            "command", "design", "n", "p", "t_len", "seed", "reps", "methods",
+            "grid_nu1", "grid_nu2", "c1", "oracle",
+        }
+
+    def test_tau_flag_rejected(self, tmp_path):
+        args = list(self.bench_args(tmp_path / "bench"))
+        assert run(*args[:-2], "--tau", "0.1", *args[-2:]) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
         assert run(*self.bench_args(out1)) == 0
@@ -109,6 +138,21 @@ class TestBench:
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b
+
+
+class TestParserDefaults:
+    def test_solver_defaults_come_from_solver_config(self):
+        parser = build_parser()
+        required = {"fit": ["--panel", "p.csv"], "tune": ["--panel", "p.csv"],
+                    "bench": []}
+        expected = SolverConfig()
+        for command, extra in required.items():
+            args = vars(parser.parse_args([command, *extra]))
+            for name in SOLVER_FLAGS | {"nu1", "nu2"}:
+                if name in args:
+                    assert args[name] == getattr(expected, name), (command, name)
+            if "tau" in args:
+                assert args["tau"] == (expected.tau,)
 
 
 class TestErrorPaths:

@@ -164,7 +164,7 @@ class TestRunConfig:
         cfg = RunConfig(
             command="tune", panel="p.csv", out="results", taus=(0.1, 0.5, 0.9),
             nu1=1e-4, nu2=1e-3, grid_nu1=(1e-3, 1e-4), grid_nu2=(1e-2,),
-            methods=("l1nnqr", "l1qr"), seed=7, pi_inf_bound=2.0,
+            methods=("l1nnqr", "l1qr"), seed=7,
         )
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg
