@@ -1,13 +1,13 @@
 """Optimality evidence behind acceptance criterion 5 (Design 1, 100 x 5 x 100).
 
-For each of the 20 benchmark reps (seeds 100..119) this reruns the l1nnqr
-default-grid loop of `metrics.evaluate_rep` with the acceptance settings,
-counts the converged fits, and takes the oracle point: the converged fit with
-the smallest quantile error.  It then refits that (nu1, nu2) from a cold start
-at tol_abs = tol_rel = 1e-10 and reports how far the quantile error moves.  A
-shift far below the error itself shows that the grid fit already sits at the
-optimum of the convex program, so the error C5 scores belongs to the estimator,
-not to an early stop.
+For each of the 20 benchmark reps (seeds 100..119) this walks the l1nnqr
+default grid along `selection.grid_path`, as `metrics.evaluate_rep` does, with
+the acceptance settings, counts the converged fits, and takes the oracle
+point: the converged fit with the smallest quantile error.  It then refits
+that (nu1, nu2) from a cold start at tol_abs = tol_rel = 1e-10 and reports how
+far the quantile error moves.  A shift far below the error itself shows that
+the grid fit already sits at the optimum of the convex program, so the error
+C5 scores belongs to the estimator, not to an early stop.
 
 It also scores the two estimators that C5's window must reject: Pi = 0 (the
 l1qr baseline, oracle over the nu1 grid) and an over-shrunk Pi (nu2 = 2e-3,
@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from quantfactor import (
-    AdmmState,
     GramCache,
     SolverConfig,
     TuningGrid,
@@ -31,6 +30,7 @@ from quantfactor import (
     fit,
     quantile_error,
 )
+from quantfactor.selection import grid_path
 from quantfactor.simulate import DesignSpec, generate
 
 CONFIG = SolverConfig(tau=0.5, eta=5e-4, max_iter=12000)  # C5's BENCH_CONFIG
@@ -41,14 +41,11 @@ REPS = 20
 def grid_errors(inst, grid, cfg0, scales, gram):
     """Quantile error and convergence of every warm-started grid fit."""
     rows = []
-    for nu1 in grid.nu1_values:
-        state = AdmmState.zeros(inst.data.n, inst.data.t_len, inst.data.p, cfg0.eta)
-        for nu2 in grid.nu2_values:
-            cfg = replace(cfg0, nu1=float(nu1), nu2=float(nu2))
-            f = fit(inst.data, cfg, scales=scales, init=state, gram=gram)
-            est = inst.data.x @ f.theta + f.pi
-            rows.append((float(nu1), float(nu2),
-                         quantile_error(inst.true_median_surface, est), f.converged))
+    for cfg, state in grid_path(inst.data, grid.nu1_values, grid.nu2_values, cfg0):
+        f = fit(inst.data, cfg, scales=scales, init=state, gram=gram)
+        est = inst.data.x @ f.theta + f.pi
+        rows.append((cfg.nu1, cfg.nu2, quantile_error(inst.true_median_surface, est),
+                     f.converged))
     return rows
 
 

@@ -58,7 +58,6 @@ from .panel import (
     pinball_loss,
 )
 from .panel_io import (
-    RunConfig,
     read_matrix_csv,
     read_panel_csv,
     write_fit,
@@ -89,6 +88,5 @@ from .simulate import (
     generate,
     sample_scaled_t3,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

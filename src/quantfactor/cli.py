@@ -21,7 +21,6 @@ from .errors import PanelFormatError, QuantfactorError
 from .factors import extract_factors, variance_explained
 from .panel import LOSSES, SolverConfig, compute_column_scales
 from .panel_io import (
-    RunConfig,
     read_matrix_csv,
     read_panel_csv,
     write_fit,
@@ -71,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit", help="fit one (nu1, nu2) pair per quantile")
     p_fit.add_argument("--panel", required=True)
-    p_fit.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,))
+    p_fit.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,),
+                       dest="taus")
     p_fit.add_argument("--nu1", type=float, default=SolverConfig.nu1)
     p_fit.add_argument("--nu2", type=float, default=SolverConfig.nu2)
     _add_solver_flags(p_fit)
@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = subs.add_parser("tune", help="grid search scored by modified BIC")
     p_tune.add_argument("--panel", required=True)
-    p_tune.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,))
+    p_tune.add_argument("--tau", type=_float_list, default=(SolverConfig.tau,),
+                        dest="taus")
     p_tune.add_argument("--grid-nu1", type=_float_list, default=None)
     p_tune.add_argument("--grid-nu2", type=_float_list, default=None)
     p_tune.add_argument("--c1", type=float, default=None)
@@ -109,38 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace):
-    """The RunConfig of one invocation, and the echo of the flags it took.
-
-    The echo lists only the fields the subcommand has flags for, so an output
-    never records settings the command did not use.  It leaves out the
-    output directory: that is where the file already sits, and echoing it
-    would break byte-identity of reruns into different directories.
-    """
-    names = {f.name for f in fields(RunConfig)}
-    payload, taken = {}, []
-    for key, value in vars(args).items():
-        name = {"tau": "taus"}.get(key, key)
-        if name in names:
-            taken.append(name)
-            if value is not None:
-                payload[name] = value
-    cfg = RunConfig(**payload)
-    echo = {name: getattr(cfg, name) for name in taken if name != "out"}
-    return cfg, echo
-
-
-def _solver_config(cfg: RunConfig, tau: float) -> SolverConfig:
-    solver = {f.name: getattr(cfg, f.name) for f in fields(SolverConfig) if f.name != "tau"}
+def _solver_config(args: argparse.Namespace, tau: float) -> SolverConfig:
+    """SolverConfig from the flags a subcommand has; the others keep its defaults."""
+    solver = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+              if hasattr(args, f.name)}
     return SolverConfig(tau=tau, **solver)
 
 
-def _grid(cfg: RunConfig) -> TuningGrid:
+def _grid(args: argparse.Namespace) -> TuningGrid:
     kwargs = {}
-    if cfg.grid_nu1 is not None:
-        kwargs["nu1_values"] = np.asarray(cfg.grid_nu1)
-    if cfg.grid_nu2 is not None:
-        kwargs["nu2_values"] = np.asarray(cfg.grid_nu2)
+    if args.grid_nu1 is not None:
+        kwargs["nu1_values"] = np.asarray(args.grid_nu1)
+    if args.grid_nu2 is not None:
+        kwargs["nu2_values"] = np.asarray(args.grid_nu2)
     return TuningGrid(**kwargs)
 
 
@@ -148,33 +130,33 @@ def _tau_dir(out: str, tau: float) -> Path:
     return Path(out) / f"tau_{tau:g}"
 
 
-def _write_one_fit(result, scales, cfg: RunConfig, echo: dict, tau: float, nu1, nu2):
+def _write_one_fit(result, scales, out: str, echo: dict, tau: float, nu1, nu2):
     decomposition = None
     if result.rank_estimate >= 1:
         decomposition = extract_factors(result.pi, result.rank_estimate)
     echo = {**echo, "tau": tau, "nu1": nu1, "nu2": nu2}
     return write_fit(
-        result, decomposition, _tau_dir(cfg.out, tau), scales=scales, config_echo=echo
+        result, decomposition, _tau_dir(out, tau), scales=scales, config_echo=echo
     )
 
 
-def _cmd_fit(cfg: RunConfig, echo: dict) -> int:
-    data = read_panel_csv(cfg.panel)
+def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
+    data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    for tau in cfg.taus:
-        result = admm.fit(data, _solver_config(cfg, tau), scales=scales)
-        _write_one_fit(result, scales, cfg, echo, tau, cfg.nu1, cfg.nu2)
+    for tau in args.taus:
+        result = admm.fit(data, _solver_config(args, tau), scales=scales)
+        _write_one_fit(result, scales, args.out, echo, tau, args.nu1, args.nu2)
     return 0
 
 
-def _cmd_tune(cfg: RunConfig, echo: dict) -> int:
-    data = read_panel_csv(cfg.panel)
+def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
+    data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    grid = _grid(cfg)
-    for tau in cfg.taus:
-        report = grid_search(data, grid, _solver_config(cfg, tau), c1=cfg.c1,
+    grid = _grid(args)
+    for tau in args.taus:
+        report = grid_search(data, grid, _solver_config(args, tau), c1=args.c1,
                              scales=scales)
-        out_dir = _tau_dir(cfg.out, tau)
+        out_dir = _tau_dir(args.out, tau)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "selection.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -187,22 +169,22 @@ def _cmd_tune(cfg: RunConfig, echo: dict) -> int:
                      row.sparsity, row.rank, f"{row.objective:.17g}",
                      int(row.converged)]
                 )
-        _write_one_fit(report.best_fit, scales, cfg, echo, tau,
+        _write_one_fit(report.best_fit, scales, args.out, echo, tau,
                        report.best_nu1, report.best_nu2)
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, echo: dict) -> int:
-    spec = DesignSpec(cfg.design, cfg.n, cfg.t_len, cfg.p, cfg.seed)
+def _cmd_simulate(args: argparse.Namespace, echo: dict) -> int:
+    spec = DesignSpec(args.design, args.n, args.t_len, args.p, args.seed)
     inst = generate(spec)
-    write_sim_instance(inst, cfg.out, cfg.seed, cfg.design)
+    write_sim_instance(inst, args.out, args.seed, args.design)
     return 0
 
 
-def _cmd_factors(cfg: RunConfig, echo: dict) -> int:
-    pi = read_matrix_csv(cfg.pi_path)
-    decomposition = extract_factors(pi, cfg.rank)
-    out_dir = Path(cfg.out)
+def _cmd_factors(args: argparse.Namespace, echo: dict) -> int:
+    pi = read_matrix_csv(args.pi_path)
+    decomposition = extract_factors(pi, args.rank)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(decomposition.factors, out_dir / "factors.csv")
     write_matrix_csv(decomposition.loadings, out_dir / "loadings.csv")
@@ -217,17 +199,17 @@ def _cmd_factors(cfg: RunConfig, echo: dict) -> int:
     return 0
 
 
-def _cmd_bench(cfg: RunConfig, echo: dict) -> int:
-    spec = DesignSpec(cfg.design, cfg.n, cfg.t_len, cfg.p, cfg.seed)
+def _cmd_bench(args: argparse.Namespace, echo: dict) -> int:
+    spec = DesignSpec(args.design, args.n, args.t_len, args.p, args.seed)
     # the Monte Carlo errors are scored against the median surface
-    base = _solver_config(cfg, 0.5)
+    base = _solver_config(args, 0.5)
     reports = run_monte_carlo(
-        spec, cfg.methods, _grid(cfg), cfg.reps,
-        oracle_tuning=cfg.oracle, base_config=base, c1=cfg.c1,
+        spec, args.methods, _grid(args), args.reps,
+        oracle_tuning=args.oracle, base_config=base, c1=args.c1,
     )
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tuning = "oracle" if cfg.oracle else "bic"
+    tuning = "oracle" if args.oracle else "bic"
     with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -268,9 +250,12 @@ def cli_main(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg, echo = _run_config(args)
+    # The echo leaves out the output directory: that is where the file already
+    # sits, and echoing it would break byte-identity of reruns into different
+    # directories.
+    echo = {key: value for key, value in vars(args).items() if key != "out"}
     try:
-        return _COMMANDS[cfg.command](cfg, echo)
+        return _COMMANDS[args.command](args, echo)
     except (PanelFormatError, FileNotFoundError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -7,19 +7,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmState, GramCache, fit, support_mask
+from .admm import GramCache, fit, support_mask
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
 from .panel import SolverConfig, compute_column_scales
-from .selection import TuningGrid, bic_score
+from .selection import TuningGrid, bic_pick, bic_score, grid_path
 from .simulate import DesignSpec, SimInstance, generate
 
 log = logging.getLogger(__name__)
 
-# method name -> (loss, fix_pi_zero, uses the nuclear grid)
+# method name -> (loss, fix_pi_zero)
 METHODS = {
-    "l1nnqr": ("quantile", False, True),
-    "l1qr": ("quantile", True, False),
-    "l1nnls": ("squared", False, True),
+    "l1nnqr": ("quantile", False),
+    "l1qr": ("quantile", True),
+    "l1nnls": ("squared", False),
 }
 
 
@@ -85,7 +85,7 @@ class RepMetrics:
 
 
 def _method_config(method: str, base: SolverConfig) -> SolverConfig:
-    loss, fix_pi, _ = METHODS[method]
+    loss, fix_pi = METHODS[method]
     return replace(base, loss=loss, fix_pi_zero=fix_pi)
 
 
@@ -97,11 +97,13 @@ def evaluate_rep(
     c1: float | None = None,
     rep: int = 0,
 ) -> RepMetrics:
-    """Fit one instance across the grid and record oracle and BIC metrics.
+    """Fit one instance along the grid path and record oracle and BIC metrics.
 
     Both tunings look only at converged fits.  Oracle tuning takes the
     minimum of each metric separately over them; the BIC variant reports the
-    metrics of the converged fit with the smallest score.
+    metrics of the fit selection.bic_pick takes, and raises AllFitsFailed
+    when no fit converged.  A method with Pi pinned at zero walks the nu1 grid
+    at nu2 = 0.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
@@ -109,36 +111,28 @@ def evaluate_rep(
     scales = compute_column_scales(data)
     gram = GramCache(data)
     cfg0 = _method_config(method, base_config)
-    uses_nu2 = METHODS[method][2]
-    nu2_values = grid.nu2_values if uses_nu2 else np.array([0.0])
+    nu2_values = np.array([0.0]) if cfg0.fix_pi_zero else grid.nu2_values
+    converged_errs = []
 
-    theta_errs, q_errs, bics, converged = [], [], [], []
-    for nu1 in grid.nu1_values:
-        state = AdmmState.zeros(data.n, data.t_len, data.p, cfg0.eta)
-        for nu2 in nu2_values:
-            cfg = replace(cfg0, nu1=float(nu1), nu2=float(nu2))
+    def points():
+        for cfg, state in grid_path(data, grid.nu1_values, nu2_values, cfg0):
             result = fit(data, cfg, scales=scales, init=state, gram=gram)
             est_surface = data.x @ result.theta + result.pi
-            theta_errs.append(theta_error_scaled(result.theta, inst.theta_true))
-            q_errs.append(quantile_error(inst.true_median_surface, est_surface))
-            bics.append(bic_score(result, data, c1))
-            converged.append(result.converged)
+            errs = (theta_error_scaled(result.theta, inst.theta_true),
+                    quantile_error(inst.true_median_surface, est_surface))
+            if result.converged:
+                converged_errs.append(errs)
+            yield bic_score(result, data, c1), result.converged, errs
 
-    theta_errs = np.asarray(theta_errs)
-    q_errs = np.asarray(q_errs)
-    bics = np.asarray(bics)
-    converged = np.asarray(converged)
-    if not converged.any():
-        raise QuantfactorError(f"no grid fit converged for method {method!r}")
-    masked = np.where(converged, bics, np.inf)
-    pick = int(np.argmin(masked))
+    bic_theta_err, bic_quantile_err = bic_pick(points())
+    oracle_theta_err, oracle_quantile_err = np.min(converged_errs, axis=0)
     return RepMetrics(
         method=method,
         rep=rep,
-        oracle_theta_err=float(np.where(converged, theta_errs, np.inf).min()),
-        oracle_quantile_err=float(np.where(converged, q_errs, np.inf).min()),
-        bic_theta_err=float(theta_errs[pick]),
-        bic_quantile_err=float(q_errs[pick]),
+        oracle_theta_err=float(oracle_theta_err),
+        oracle_quantile_err=float(oracle_quantile_err),
+        bic_theta_err=bic_theta_err,
+        bic_quantile_err=bic_quantile_err,
     )
 
 
@@ -166,9 +160,6 @@ def run_monte_carlo(
             raise ValueError(f"unknown method {m!r}; choose from {sorted(METHODS)}")
     if base_config is None:
         base_config = SolverConfig()
-    if c1 is None:
-        # fix the BIC constant once from the design's dimensions
-        c1 = float(np.log(spec.n * spec.t_len) ** 2)
 
     per_method = {m: {"theta": [], "q": [], "failed": 0} for m in methods}
     for rep in range(reps):

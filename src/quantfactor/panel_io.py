@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DuplicateCell, EmptyFile, ParseError, UnbalancedPanel
 from .factors import FactorDecomposition
-from .panel import ColumnScales, PanelData, QuantileFit, SolverConfig
+from .panel import ColumnScales, PanelData, QuantileFit
 from .simulate import RNG_ALGORITHM, SimInstance
 
 
@@ -236,44 +235,3 @@ def read_theta_csv(path):
                 raise ParseError(f"{path}:{lineno}: bad theta row") from exc
     return np.asarray(values), np.asarray(weights)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical record of one CLI invocation; round-trips through JSON."""
-
-    command: str
-    panel: str | None = None
-    out: str = "."
-    taus: tuple = (SolverConfig.tau,)
-    nu1: float = SolverConfig.nu1
-    nu2: float = SolverConfig.nu2
-    eta: float = SolverConfig.eta
-    max_iter: int = SolverConfig.max_iter
-    tol_abs: float = SolverConfig.tol_abs
-    tol_rel: float = SolverConfig.tol_rel
-    loss: str = SolverConfig.loss
-    fix_pi_zero: bool = SolverConfig.fix_pi_zero
-    grid_nu1: tuple | None = None
-    grid_nu2: tuple | None = None
-    c1: float | None = None
-    design: str = "D1"
-    n: int = 100
-    t_len: int = 100
-    p: int = 5
-    seed: int = 0
-    reps: int = 20
-    methods: tuple = ("l1nnqr",)
-    oracle: bool = False
-    pi_path: str | None = None
-    rank: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        raw = json.loads(text)
-        for key in ("taus", "grid_nu1", "grid_nu2", "methods"):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)

@@ -28,8 +28,10 @@ __all__ = [
     "TuningGrid",
     "SelectionRow",
     "SelectionReport",
+    "bic_pick",
     "bic_score",
     "default_c1",
+    "grid_path",
     "grid_search",
     "estimate_sparsity",
     "estimate_rank",
@@ -110,6 +112,40 @@ def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None)
     return loss + float(penalty)
 
 
+def grid_path(data: PanelData, nu1_values, nu2_values, config: SolverConfig):
+    """Yield (config, warm-start state) for every grid point, in fit order.
+
+    Each nu1 column starts cold from a fresh AdmmState, so columns could run
+    in parallel.  Down a column the same state is handed on along the given
+    (descending) nu2 values; passing it to `fit` as init warm starts each fit
+    from the one before.
+    """
+    for nu1 in nu1_values:
+        state = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
+        for nu2 in nu2_values:
+            yield replace(config, nu1=float(nu1), nu2=float(nu2)), state
+
+
+def bic_pick(points):
+    """The payload of the first converged point with the smallest BIC.
+
+    points yields (bic, converged, payload) in grid order and is consumed
+    lazily, so only the running best is held.  Replacing the best only on
+    strict improvement breaks ties toward the larger penalties of the
+    descending grids, i.e. the sparser, lower-rank model.  Raises
+    AllFitsFailed when no point converged.
+    """
+    best_bic, best, count = np.inf, None, 0
+    for count, (bic, converged, payload) in enumerate(points, start=1):
+        if converged and (best is None or bic < best_bic):
+            best_bic, best = bic, payload
+    if best is None:
+        raise AllFitsFailed(
+            f"none of the {count} grid fits converged; raise max_iter or adjust eta"
+        )
+    return best
+
+
 def grid_search(
     data: PanelData,
     grid: TuningGrid,
@@ -117,28 +153,21 @@ def grid_search(
     c1: float | None = None,
     scales: ColumnScales | None = None,
 ) -> SelectionReport:
-    """Fit every (nu1, nu2) pair and pick the converged fit with minimal BIC.
+    """Fit every (nu1, nu2) pair along grid_path and take the bic_pick.
 
-    Within each nu1 column the fits warm start along descending nu2; columns
-    start cold, so they could run in parallel.  Non-converged fits stay in
-    the table, flagged, but are excluded from the argmin.  Scanning the
-    descending grids and replacing only on strict improvement breaks BIC ties
-    toward larger penalties, i.e. the sparser, lower-rank model.
+    Non-converged fits stay in the table, flagged, but cannot be picked.
     """
     if scales is None:
         scales = compute_column_scales(data)
     gram = GramCache(data)
     rows = []
-    best_row = None
-    best_fit = None
-    for nu1 in grid.nu1_values:
-        state = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
-        for nu2 in grid.nu2_values:
-            cfg = replace(config, nu1=float(nu1), nu2=float(nu2))
+
+    def points():
+        for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, config):
             result = fit(data, cfg, scales=scales, init=state, gram=gram)
             row = SelectionRow(
-                nu1=float(nu1),
-                nu2=float(nu2),
+                nu1=cfg.nu1,
+                nu2=cfg.nu2,
                 bic=bic_score(result, data, c1),
                 sparsity=result.sparsity_estimate,
                 rank=result.rank_estimate,
@@ -146,13 +175,9 @@ def grid_search(
                 converged=result.converged,
             )
             rows.append(row)
-            if row.converged and (best_row is None or row.bic < best_row.bic):
-                best_row = row
-                best_fit = result
-    if best_row is None:
-        raise AllFitsFailed(
-            f"none of the {len(rows)} grid fits converged; raise max_iter or adjust eta"
-        )
+            yield row.bic, row.converged, (row, result)
+
+    best_row, best_fit = bic_pick(points())
     n_failed = sum(not r.converged for r in rows)
     if n_failed:
         log.warning("%d of %d grid fits did not converge", n_failed, len(rows))

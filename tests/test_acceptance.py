@@ -14,7 +14,6 @@ from quantfactor import (
     GramCache,
     SolverConfig,
     TuningGrid,
-    cli_main,
     compute_column_scales,
     evaluate_rep,
     extract_factors,
@@ -27,6 +26,7 @@ from quantfactor import (
     soft_threshold,
     solve_zw_joint,
 )
+from quantfactor.cli import cli_main
 from quantfactor.simulate import DesignSpec, generate
 
 import oracles

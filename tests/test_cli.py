@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantfactor import SolverConfig, cli_main, read_matrix_csv
-from quantfactor.cli import build_parser
+import quantfactor
+from quantfactor import SolverConfig, read_matrix_csv
+from quantfactor.cli import build_parser, cli_main
 from quantfactor.panel_io import read_panel_csv
 
 
@@ -53,6 +57,23 @@ class TestSimulateAndFit:
             "--nu2", "1e-2", "--eta", 10.0 / 54, "--out", out)
         pi = read_matrix_csv(out / "tau_0.5" / "pi.csv")
         assert pi.shape == (6, 9)
+
+    def test_config_echo_values(self, tmp_path):
+        panel = simulate_small(tmp_path)
+        out = tmp_path / "fit"
+        assert run("fit", "--panel", panel, "--tau", "0.5", "--nu1", "1e-4",
+                   "--nu2", "1e-2", "--eta", 0.0625, "--out", out) == 0
+        summary = json.loads((out / "tau_0.5" / "summary.json").read_text())
+        expected = {
+            "command": "fit", "panel": str(panel), "taus": [0.5], "tau": 0.5,
+            "nu1": 0.0001, "nu2": 0.01, "eta": 0.0625, "max_iter": 5000,
+            "tol_abs": 1e-06, "tol_rel": 1e-05, "loss": "quantile",
+            "fix_pi_zero": False,
+        }
+        # dumped again so that an int written as a float would show
+        assert json.dumps(summary["config"], sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
 
 class TestTune:
@@ -120,11 +141,16 @@ class TestBench:
     def test_config_echo_lists_only_bench_flags(self, tmp_path):
         out = tmp_path / "bench"
         assert run(*self.bench_args(out)) == 0
-        echo = json.loads((out / "bench_config.json").read_text())
-        assert set(echo) == SOLVER_FLAGS | {
-            "command", "design", "n", "p", "t_len", "seed", "reps", "methods",
-            "grid_nu1", "grid_nu2", "c1", "oracle",
+        expected = {
+            "command": "bench", "design": "D1", "n": 15, "p": 2, "t_len": 15,
+            "seed": 3, "reps": 2, "methods": ["l1nnqr", "l1qr"],
+            "grid_nu1": [0.001, 0.0001], "grid_nu2": [0.01], "c1": None,
+            "oracle": True, "eta": 10.0 / 225, "max_iter": 20000, "tol_abs": 1e-06,
+            "tol_rel": 1e-05, "loss": "quantile", "fix_pi_zero": False,
         }
+        assert (out / "bench_config.json").read_text() == json.dumps(
+            expected, sort_keys=True, indent=2
+        )
 
     def test_tau_flag_rejected(self, tmp_path):
         args = list(self.bench_args(tmp_path / "bench"))
@@ -151,8 +177,8 @@ class TestParserDefaults:
             for name in SOLVER_FLAGS | {"nu1", "nu2"}:
                 if name in args:
                     assert args[name] == getattr(expected, name), (command, name)
-            if "tau" in args:
-                assert args["tau"] == (expected.tau,)
+            if "taus" in args:
+                assert args["taus"] == (expected.tau,)
 
 
 class TestErrorPaths:
@@ -184,3 +210,16 @@ class TestErrorPaths:
             a = (out1 / "tau_0.5" / name).read_bytes()
             b = (out2 / "tau_0.5" / name).read_bytes()
             assert a == b
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_runtime_warning(self):
+        src = str(Path(quantfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "quantfactor.cli",
+             "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

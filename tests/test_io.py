@@ -7,7 +7,6 @@ from quantfactor import (
     DuplicateCell,
     EmptyFile,
     ParseError,
-    RunConfig,
     SolverConfig,
     UnbalancedPanel,
     compute_column_scales,
@@ -158,18 +157,3 @@ class TestWriteFit:
         assert paths["factors"].read_text() == ""
         assert paths["loadings"].read_text() == ""
 
-
-class TestRunConfig:
-    def test_json_roundtrip_identity(self):
-        cfg = RunConfig(
-            command="tune", panel="p.csv", out="results", taus=(0.1, 0.5, 0.9),
-            nu1=1e-4, nu2=1e-3, grid_nu1=(1e-3, 1e-4), grid_nu2=(1e-2,),
-            methods=("l1nnqr", "l1qr"), seed=7,
-        )
-        again = RunConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.to_json() == cfg.to_json()
-
-    def test_defaults_roundtrip(self):
-        cfg = RunConfig(command="fit")
-        assert RunConfig.from_json(cfg.to_json()) == cfg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quantfactor import (
+    AllFitsFailed,
     DimensionMismatch,
     LengthMismatch,
     SolverConfig,
@@ -9,6 +10,7 @@ from quantfactor import (
     compute_column_scales,
     evaluate_rep,
     fit,
+    grid_search,
     quantile_error,
     run_monte_carlo,
     support_recovery,
@@ -103,6 +105,23 @@ class TestMonteCarlo:
         rm = evaluate_rep(inst, "l1nnqr", grid, self.config())
         assert rm.oracle_theta_err <= rm.bic_theta_err + 1e-12
         assert rm.oracle_quantile_err <= rm.bic_quantile_err + 1e-12
+
+    def test_bic_pick_is_grid_search_pick(self):
+        inst = generate(DesignSpec("D1", 10, 12, 2, seed=22))
+        grid = TuningGrid(
+            nu1_values=np.array([1e-2, 1e-4]), nu2_values=np.array([1e-1, 1e-3])
+        )
+        c1 = 2.0
+        rm = evaluate_rep(inst, "l1nnqr", grid, self.config(), c1=c1)
+        best = grid_search(inst.data, grid, self.config(), c1=c1).best_fit
+        est = inst.data.x @ best.theta + best.pi
+        assert rm.bic_theta_err == theta_error_scaled(best.theta, inst.theta_true)
+        assert rm.bic_quantile_err == quantile_error(inst.true_median_surface, est)
+
+    def test_no_converged_fit_raises_all_fits_failed(self):
+        inst = generate(DesignSpec("D1", 8, 8, 2, seed=24))
+        with pytest.raises(AllFitsFailed):
+            evaluate_rep(inst, "l1nnqr", self.grid(), SolverConfig(max_iter=1))
 
     def test_oracle_ignores_non_converged_fits(self, monkeypatch):
         import dataclasses
