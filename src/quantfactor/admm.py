@@ -79,8 +79,8 @@ class GramCache:
         self._factor = cho_factor(gram)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (Gram + I) theta = b."""
-        return cho_solve(self._factor, b)
+        """Solve (Gram + I) theta = b; a non-finite b is left to fit's residual test."""
+        return cho_solve(self._factor, b, check_finite=False)
 
     def xt_dot(self, mat: np.ndarray) -> np.ndarray:
         """sum_it X_it * mat_it, an R^p vector."""
@@ -103,11 +103,7 @@ def estimate_sparsity(theta) -> int:
 
 def estimate_rank(singular_values) -> int:
     """Number of nonzero singular values (SVT produces exact zeros)."""
-    s = np.atleast_1d(np.asarray(singular_values, dtype=float))
-    if s.size == 0:
-        return 0
-    floor = ZERO_TOL * max(1.0, float(s[0]))
-    return int(np.sum(s > floor))
+    return int(np.sum(support_mask(singular_values)))
 
 
 def solve_zw_joint(a_tilde, b_tilde, c_tilde):
@@ -172,14 +168,6 @@ def _tolerances(state: AdmmState, y, xth, config: SolverConfig):
     return eps_primal, eps_dual
 
 
-def _check_finite(state: AdmmState):
-    for arr in (state.theta, state.pi, state.v, state.w, state.z_pi, state.z_theta):
-        if not np.isfinite(arr).all():
-            raise NonFiniteIterate(
-                "ADMM iterate became non-finite; try a different eta"
-            )
-
-
 def fit(
     data: PanelData,
     config: SolverConfig,
@@ -216,6 +204,15 @@ def fit(
     QuantileFit with theta taken from the soft-threshold iterate and pi from
     the singular-value-threshold iterate, so support and rank counts reflect
     exact zeros.
+
+    Raises
+    ------
+    ValueError, DimensionMismatch
+        fix_pi_zero with p = 0; scales or init that do not match the panel.
+    NonFiniteIterate
+        A sweep's primal or dual residual is NaN or inf; callback never sees that sweep.
+    NonFiniteInput
+        A warm start holds NaN or inf where the V prox or SVT reads it.
     """
     if data.p == 0 and config.fix_pi_zero:
         raise ValueError("fix_pi_zero with p = 0 leaves nothing to estimate")
@@ -259,12 +256,7 @@ def fit(
 
         # theta: (Gram + I)^{-1} (-sum X A + Z_theta + U_theta), A from last sweep.
         a = s.w + s.z_pi + s.u_w - y
-        rhs = -gram.xt_dot(a) + s.z_theta + s.u_theta
-        if not np.isfinite(rhs).all():
-            raise NonFiniteIterate(
-                "ADMM iterate became non-finite; try a different eta"
-            )
-        s.theta = gram.solve(rhs)
+        s.theta = gram.solve(-gram.xt_dot(a) + s.z_theta + s.u_theta)
 
         # Pi: singular value shrinkage of Z_Pi + U_Pi (skipped when pinned).
         if not fix_pi:
@@ -292,8 +284,10 @@ def fit(
             s.u_pi = s.u_pi + (s.z_pi - s.pi)
         s.u_theta = s.u_theta + (s.z_theta - s.theta)
 
-        _check_finite(s)
+        # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.
         primal, dual = _residuals(s, y, xth)
+        if not (np.isfinite(primal) and np.isfinite(dual)):
+            raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
         if callback is not None:
             callback(sweep, primal, dual)
         eps_primal, eps_dual = _tolerances(s, y, xth, config)

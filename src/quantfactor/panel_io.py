@@ -27,8 +27,8 @@ def _fmt(v) -> str:
 def read_panel_csv(path) -> PanelData:
     """Read a balanced long-format panel into dense arrays.
 
-    Every (unit, period) pair must appear exactly once and every unit must
-    cover every period.
+    Every (unit, period) pair must appear exactly once, every unit must
+    cover every period, and every value must be finite.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -83,6 +83,8 @@ def read_panel_csv(path) -> PanelData:
     for (ui, ti), (yval, xvals) in cells.items():
         y[ui, ti] = yval
         x[ui, ti, :] = xvals
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise ParseError(f"{path}: non-finite value (nan or inf)")
     return PanelData(y, x)
 
 
@@ -131,7 +133,10 @@ def read_matrix_csv(path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.asarray(rows)
+    matrix = np.asarray(rows)
+    if not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: non-finite value (nan or inf)")
+    return matrix
 
 
 def write_sim_instance(inst: SimInstance, out_dir, seed: int, design: str):

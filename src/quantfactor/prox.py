@@ -60,6 +60,8 @@ def singular_value_threshold(m, threshold: float) -> SvtResult:
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise NonFiniteInput("singular_value_threshold input contains non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmState, GramCache, estimate_rank, estimate_sparsity, fit
+from .admm import AdmmState, GramCache, fit
 from .errors import AllFitsFailed
 from .panel import (
     ColumnScales,
@@ -33,8 +33,6 @@ __all__ = [
     "default_c1",
     "grid_path",
     "grid_search",
-    "estimate_sparsity",
-    "estimate_rank",
 ]
 
 log = logging.getLogger(__name__)

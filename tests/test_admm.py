@@ -185,6 +185,18 @@ class TestFit:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
             fit(data, SolverConfig(tau=0.5, nu1=0.1, nu2=0.1, max_iter=50))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_warm_start_raises_before_callback(self, bad):
+        rng = np.random.default_rng(43)
+        data = random_panel(rng, 3, 4, 2)
+        state = AdmmState.zeros(3, 4, 2, 1.0)
+        state.u_theta[0] = bad
+        sweeps = []
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
+            fit(data, SolverConfig(), init=state,
+                callback=lambda k, pr, du: sweeps.append(k))
+        assert sweeps == []
+
     def test_fix_pi_zero_without_covariates_rejected(self):
         data = PanelData.without_covariates(np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -195,6 +195,34 @@ class TestErrorPaths:
         assert code == 3
         assert "DuplicateCell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_panel_exits_3(self, tmp_path, capsys, bad):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"unit,period,y,x1\nu1,t1,1,0\nu1,t2,2,{bad}\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "fit") == 3
+        assert run("tune", "--panel", path, "--out", tmp_path / "tune") == 3
+        assert capsys.readouterr().err.count("error:ParseError:") == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_matrix_exits_3(self, tmp_path, capsys, bad):
+        path = tmp_path / "pi.csv"
+        path.write_text(f"{bad},0\n0,1\n")
+        out = tmp_path / "fac"
+        assert run("factors", "--pi", path, "--rank", 1, "--out", out) == 3
+        assert "error:ParseError:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_divergent_fit_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("unit,period,y,x1\n"
+                        + "".join(f"u{i},t{t},1e308,1\n" for i in (1, 2) for t in (1, 2)))
+        code = run("fit", "--panel", path, "--nu1", 0.1, "--nu2", 0.1,
+                   "--max-iter", 50, "--out", tmp_path / "fit")
+        assert code == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error:NonFiniteIterate: ADMM iterate became non-finite; try a different eta"
+        )
+
     def test_usage_error_exits_2(self, capsys):
         assert run() == 2
         assert run("fit") == 2  # --panel is required

@@ -200,3 +200,10 @@ class TestSingularValueThreshold:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             singular_value_threshold(np.eye(2), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # LAPACK returns a NaN spectrum for the inf case and can loop without
+        # end on larger non-finite inputs, so the check must come first
+        with pytest.raises(NonFiniteInput):
+            singular_value_threshold(np.array([[bad, 0.0], [0.0, 1.0]]), 0.1)
