@@ -8,7 +8,6 @@ BIC-driven tuning, factor extraction, simulation designs, and a CLI.
 from .admm import (
     AdmmState,
     GramCache,
-    admm_residuals,
     estimate_rank,
     estimate_sparsity,
     fit,

@@ -36,8 +36,7 @@ class AdmmState:
     """All primal, slack, and scaled dual iterates of one solve.
 
     Mutable and confined to a single worker; pass a previous state back into
-    fit() to warm start.  The *_prev arrays hold the previous sweep's values
-    of the variables entering the dual residual.
+    fit() to warm start.  fit() sets eta to the penalty it used.
     """
 
     theta: np.ndarray
@@ -50,19 +49,15 @@ class AdmmState:
     u_w: np.ndarray
     u_pi: np.ndarray
     u_theta: np.ndarray
-    eta: float
-    w_prev: np.ndarray
-    z_pi_prev: np.ndarray
-    z_theta_prev: np.ndarray
+    eta: float | None
 
     @classmethod
-    def zeros(cls, n: int, t_len: int, p: int, eta: float) -> "AdmmState":
+    def zeros(cls, n: int, t_len: int, p: int, eta: float | None) -> "AdmmState":
         m = lambda: np.zeros((n, t_len))
         v = lambda: np.zeros(p)
         return cls(
             theta=v(), pi=m(), v=m(), w=m(), z_theta=v(), z_pi=m(),
             u_v=m(), u_w=m(), u_pi=m(), u_theta=v(), eta=eta,
-            w_prev=m(), z_pi_prev=m(), z_theta_prev=v(),
         )
 
 
@@ -122,7 +117,8 @@ def solve_zw_joint(a_tilde, b_tilde, c_tilde):
     return z, w
 
 
-def admm_residuals(state: AdmmState, data: PanelData):
+def _residuals(state: AdmmState, y: np.ndarray, xth: np.ndarray,
+               w_prev: np.ndarray, z_pi_prev: np.ndarray, z_theta_prev: np.ndarray):
     """Primal and dual residual norms of the current state.
 
     primal: Frobenius norm of the stacked constraint violations
@@ -130,10 +126,6 @@ def admm_residuals(state: AdmmState, data: PanelData):
     dual:   eta times the norm of the change in (W, Z_Pi, Z_theta) since the
             previous sweep.
     """
-    return _residuals(state, data.y, data.x @ state.theta)
-
-
-def _residuals(state: AdmmState, y: np.ndarray, xth: np.ndarray):
     r1 = state.v - state.w
     r2 = state.w - y + xth + state.z_pi
     r3 = state.z_pi - state.pi
@@ -142,9 +134,9 @@ def _residuals(state: AdmmState, y: np.ndarray, xth: np.ndarray):
         np.sum(r1 ** 2) + np.sum(r2 ** 2) + np.sum(r3 ** 2) + np.sum(r4 ** 2)
     )
     dual = state.eta * np.sqrt(
-        np.sum((state.w - state.w_prev) ** 2)
-        + np.sum((state.z_pi - state.z_pi_prev) ** 2)
-        + np.sum((state.z_theta - state.z_theta_prev) ** 2)
+        np.sum((state.w - w_prev) ** 2)
+        + np.sum((state.z_pi - z_pi_prev) ** 2)
+        + np.sum((state.z_theta - z_theta_prev) ** 2)
     )
     return float(primal), float(dual)
 
@@ -187,13 +179,13 @@ def fit(
         Balanced panel.  With p = 0 theta is empty and only Pi is estimated;
         the theta, Z_theta and U_theta blocks are then zero-length.
     config : SolverConfig
-        Loss, penalties, and stopping rule.  With fix_pi_zero the low-rank
-        part is pinned at zero and nu2 is ignored.
+        Loss, penalties, and stopping rule; eta=None means 10 / (nT).  With
+        fix_pi_zero the low-rank part is pinned at zero and nu2 is ignored.
     scales : ColumnScales, optional
         l1 penalty weights; computed from the data when omitted.
     init : AdmmState, optional
-        Warm start.  The state is advanced in place and holds the final
-        iterates on return, which is what grid search reuses.
+        Warm start, advanced in place: on return it holds the final iterates,
+        which grid search reuses, and the eta used.
     gram : GramCache, optional
         Shared factorization of (sum X X' + I); computed when omitted.
     callback : callable, optional
@@ -227,7 +219,8 @@ def fit(
     nt = n * t_len
     y = data.y
     x = data.x
-    eta = config.eta
+    # The pinball prox moves V by at most 1/(nT eta) a sweep: 0.1 at the default.
+    eta = config.eta if config.eta is not None else 10.0 / nt
     s = init if init is not None else AdmmState.zeros(n, t_len, p, eta)
     if s.pi.shape != (n, t_len) or s.theta.shape != (p,):
         raise DimensionMismatch("warm-start state does not match the panel")
@@ -247,53 +240,55 @@ def fit(
     converged = False
     primal = dual = np.inf
     sweep = 0
-    for sweep in range(1, config.max_iter + 1):
-        s.w_prev, s.z_pi_prev, s.z_theta_prev = s.w, s.z_pi, s.z_theta
+    # The residual test is the non-finite guard; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, config.max_iter + 1):
+            w_prev, z_pi_prev, z_theta_prev = s.w, s.z_pi, s.z_theta
 
-        # V: prox of the loss at W - U_V.
-        av = s.w - s.u_v
-        s.v = prox_squared(av, eta, nt) if squared else prox_pinball(av, config.tau, kappa)
+            # V: prox of the loss at W - U_V.
+            av = s.w - s.u_v
+            s.v = prox_squared(av, eta, nt) if squared else prox_pinball(av, config.tau, kappa)
 
-        # theta: (Gram + I)^{-1} (-sum X A + Z_theta + U_theta), A from last sweep.
-        a = s.w + s.z_pi + s.u_w - y
-        s.theta = gram.solve(-gram.xt_dot(a) + s.z_theta + s.u_theta)
+            # theta: (Gram + I)^{-1} (-sum X A + Z_theta + U_theta), A from last sweep.
+            a = s.w + s.z_pi + s.u_w - y
+            s.theta = gram.solve(-gram.xt_dot(a) + s.z_theta + s.u_theta)
 
-        # Pi: singular value shrinkage of Z_Pi + U_Pi (skipped when pinned).
-        if not fix_pi:
-            svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold)
-            s.pi = svt.matrix
-            svals = svt.singular_values_after
+            # Pi: singular value shrinkage of Z_Pi + U_Pi (skipped when pinned).
+            if not fix_pi:
+                svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold)
+                s.pi = svt.matrix
+                svals = svt.singular_values_after
 
-        # Z_theta: soft threshold with the scale-weighted l1 level.
-        s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
+            # Z_theta: soft threshold with the scale-weighted l1 level.
+            s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
 
-        # (Z_Pi, W): joint exact minimizer; with Pi pinned only W moves.
-        xth = x @ s.theta
-        a_tilde = xth - y + s.u_w
-        b_tilde = -s.v - s.u_v
-        if fix_pi:
-            s.w = -(a_tilde + b_tilde) / 2.0
-        else:
-            c_tilde = -s.pi + s.u_pi
-            s.z_pi, s.w = solve_zw_joint(a_tilde, b_tilde, c_tilde)
+            # (Z_Pi, W): joint exact minimizer; with Pi pinned only W moves.
+            xth = x @ s.theta
+            a_tilde = xth - y + s.u_w
+            b_tilde = -s.v - s.u_v
+            if fix_pi:
+                s.w = -(a_tilde + b_tilde) / 2.0
+            else:
+                c_tilde = -s.pi + s.u_pi
+                s.z_pi, s.w = solve_zw_joint(a_tilde, b_tilde, c_tilde)
 
-        # Scaled dual ascent.
-        s.u_v = s.u_v + (s.v - s.w)
-        s.u_w = s.u_w + (s.w - y + xth + s.z_pi)
-        if not fix_pi:
-            s.u_pi = s.u_pi + (s.z_pi - s.pi)
-        s.u_theta = s.u_theta + (s.z_theta - s.theta)
+            # Scaled dual ascent.
+            s.u_v = s.u_v + (s.v - s.w)
+            s.u_w = s.u_w + (s.w - y + xth + s.z_pi)
+            if not fix_pi:
+                s.u_pi = s.u_pi + (s.z_pi - s.pi)
+            s.u_theta = s.u_theta + (s.z_theta - s.theta)
 
-        # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.
-        primal, dual = _residuals(s, y, xth)
-        if not (np.isfinite(primal) and np.isfinite(dual)):
-            raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-        if callback is not None:
-            callback(sweep, primal, dual)
-        eps_primal, eps_dual = _tolerances(s, y, xth, config)
-        if primal <= eps_primal and dual <= eps_dual:
-            converged = True
-            break
+            # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.
+            primal, dual = _residuals(s, y, xth, w_prev, z_pi_prev, z_theta_prev)
+            if not (np.isfinite(primal) and np.isfinite(dual)):
+                raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
+            if callback is not None:
+                callback(sweep, primal, dual)
+            eps_primal, eps_dual = _tolerances(s, y, xth, config)
+            if primal <= eps_primal and dual <= eps_dual:
+                converged = True
+                break
 
     theta_hat = s.z_theta.copy()
     pi_hat = s.pi.copy()

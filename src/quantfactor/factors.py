@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroSpectrum, DimensionMismatch, RankTooLarge
+from .errors import AllZeroSpectrum, DimensionMismatch, NonFiniteInput, RankTooLarge
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ def extract_factors(pi, rank: int) -> FactorDecomposition:
     max_rank = min(pi.shape)
     if not 1 <= rank <= max_rank:
         raise RankTooLarge(f"rank {rank} not in [1, {max_rank}] for shape {pi.shape}")
+    if not np.isfinite(pi).all():
+        raise NonFiniteInput("extract_factors input contains non-finite entries")
     u, s, vt = np.linalg.svd(pi, full_matrices=False)
     u = u[:, :rank].copy()
     s = s[:rank].copy()
@@ -67,6 +69,8 @@ def procrustes_distance(a, b) -> float:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2 or a.shape[1] > a.shape[0]:
         raise DimensionMismatch("inputs must be tall matrices (columns <= rows)")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteInput("procrustes_distance input contains non-finite entries")
     u, _, vt = np.linalg.svd(a.T @ b)
     o = u @ vt
     return float(np.linalg.norm(a @ o - b))

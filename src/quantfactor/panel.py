@@ -94,7 +94,8 @@ class SolverConfig:
 
     tau          quantile level in (0, 1)
     nu1, nu2     l1 and nuclear-norm penalty levels (>= 0)
-    eta          ADMM penalty parameter (> 0); affects the path, not the optimum
+    eta          ADMM penalty (> 0), or None for 10 / (nT), which suits a response
+                 near unit scale; affects the path, not the optimum
     max_iter     sweep budget
     tol_abs/rel  combined absolute/relative stopping tolerances
     loss         "quantile" or "squared"
@@ -104,7 +105,7 @@ class SolverConfig:
     tau: float = 0.5
     nu1: float = 0.0
     nu2: float = 0.0
-    eta: float = 1.0
+    eta: float | None = None
     max_iter: int = 5000
     tol_abs: float = 1e-6
     tol_rel: float = 1e-5
@@ -116,7 +117,7 @@ class SolverConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.nu1 < 0 or self.nu2 < 0:
             raise ValueError("penalty levels must be nonnegative")
-        if self.eta <= 0:
+        if self.eta is not None and self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

@@ -8,7 +8,6 @@ from quantfactor import (
     NonFiniteIterate,
     PanelData,
     SolverConfig,
-    admm_residuals,
     compute_column_scales,
     fit,
     penalized_objective,
@@ -23,11 +22,6 @@ def random_panel(rng, n, t_len, p):
     x = rng.standard_normal((n, t_len, p))
     y = rng.standard_normal((n, t_len))
     return PanelData(y, x)
-
-
-def eta_for(n, t_len):
-    # step size heuristic: the loss prox moves iterates by 1/(nT eta) per sweep
-    return 10.0 / (n * t_len)
 
 
 class TestSolveZwJoint:
@@ -74,7 +68,7 @@ class TestFit:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((3, 4, 2))
         data = PanelData(np.zeros((3, 4)), x)
-        cfg = SolverConfig(tau=0.5, nu1=0.1, nu2=0.1, eta=eta_for(3, 4))
+        cfg = SolverConfig(tau=0.5, nu1=0.1, nu2=0.1)
         f = fit(data, cfg)
         np.testing.assert_allclose(f.theta, np.zeros(2), atol=1e-8)
         np.testing.assert_allclose(f.pi, np.zeros((3, 4)), atol=1e-8)
@@ -93,7 +87,7 @@ class TestFit:
             tau = float(rng.choice([0.3, 0.5, 0.7]))
             nu1 = float(rng.uniform(0.01, 0.3))
             cfg = SolverConfig(
-                tau=tau, nu1=nu1, nu2=0.0, eta=eta_for(n, t_len),
+                tau=tau, nu1=nu1, nu2=0.0,
                 fix_pi_zero=True, max_iter=60000, tol_abs=1e-11, tol_rel=1e-10,
             )
             f = fit(data, cfg, scales)
@@ -107,7 +101,7 @@ class TestFit:
             data = random_panel(rng, n, t_len, p)
             cfg = SolverConfig(
                 tau=0.5, nu1=0.0, nu2=0.0, loss="squared", fix_pi_zero=True,
-                eta=eta_for(n, t_len), max_iter=30000, tol_abs=1e-12, tol_rel=1e-11,
+                max_iter=30000, tol_abs=1e-12, tol_rel=1e-11,
             )
             f = fit(data, cfg)
             x_flat = data.x.reshape(-1, p)
@@ -119,7 +113,7 @@ class TestFit:
         rng = np.random.default_rng(35)
         data = random_panel(rng, 5, 6, 2)
         scales = compute_column_scales(data)
-        common = dict(eta=eta_for(5, 6), max_iter=60000, tol_abs=1e-11, tol_rel=1e-10)
+        common = dict(max_iter=60000, tol_abs=1e-11, tol_rel=1e-10)
         full = fit(data, SolverConfig(tau=0.5, nu1=0.05, nu2=1e3, **common), scales)
         base = fit(
             data, SolverConfig(tau=0.5, nu1=0.05, fix_pi_zero=True, **common), scales
@@ -132,8 +126,7 @@ class TestFit:
     def test_objective_no_worse_than_truth(self):
         inst = generate(DesignSpec("D1", 20, 25, 3, seed=7))
         scales = compute_column_scales(inst.data)
-        cfg = SolverConfig(tau=0.5, nu1=1e-4, nu2=5e-3, eta=eta_for(20, 25),
-                           max_iter=20000)
+        cfg = SolverConfig(tau=0.5, nu1=1e-4, nu2=5e-3, max_iter=20000)
         f = fit(inst.data, cfg, scales)
         assert f.converged
         assert f.primal_residual <= 1e-4 * np.sqrt(inst.data.y.size)
@@ -146,9 +139,8 @@ class TestFit:
         rng = np.random.default_rng(36)
         data = random_panel(rng, 6, 7, 2)
         scales = compute_column_scales(data)
-        eta = eta_for(6, 7)
-        common = dict(eta=eta, max_iter=40000, tol_abs=1e-10, tol_rel=1e-9)
-        state = AdmmState.zeros(6, 7, 2, eta)
+        common = dict(max_iter=40000, tol_abs=1e-10, tol_rel=1e-9)
+        state = AdmmState.zeros(6, 7, 2, None)
         fit(data, SolverConfig(tau=0.5, nu1=0.05, nu2=0.05, **common), scales,
             init=state)
         warm = fit(data, SolverConfig(tau=0.5, nu1=0.02, nu2=0.02, **common), scales,
@@ -160,8 +152,7 @@ class TestFit:
         inst = generate(DesignSpec("D1", 15, 15, 2, seed=9))
         scales = compute_column_scales(inst.data)
         hist = []
-        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, eta=eta_for(15, 15),
-                           max_iter=20000)
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=20000)
         f = fit(inst.data, cfg, scales, callback=lambda k, pr, du: hist.append(pr))
         assert f.converged and len(hist) > 60
         tail = hist[-50:]
@@ -172,11 +163,21 @@ class TestFit:
         inst = generate(DesignSpec("D1", 8, 8, 2, seed=13))
         scales = compute_column_scales(inst.data)
         states = []
-        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, eta=eta_for(8, 8),
-                           max_iter=300)
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=300)
         fit(inst.data, cfg, scales,
             callback=lambda k, pr, du: states.append((pr, du)))
         assert all(np.isfinite(pr) and np.isfinite(du) for pr, du in states)
+
+    def test_default_eta_is_ten_over_nt(self):
+        inst = generate(DesignSpec("D1", 8, 9, 2, seed=15))
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2)
+        state = AdmmState.zeros(8, 9, 2, None)
+        derived = fit(inst.data, cfg, init=state)
+        explicit = fit(inst.data, SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, eta=10.0 / 72))
+        assert state.eta == 10.0 / 72
+        np.testing.assert_array_equal(derived.theta, explicit.theta)
+        np.testing.assert_array_equal(derived.pi, explicit.pi)
+        assert derived.iterations == explicit.iterations
 
     def test_divergent_scale_raises(self):
         y = np.full((2, 2), 1e308)
@@ -215,7 +216,7 @@ class TestFit:
         data = inst.data
         scales = compute_column_scales(data)
         tau, nu1, nu2 = 0.4, 5e-3, 2e-2
-        cfg = SolverConfig(tau=tau, nu1=nu1, nu2=nu2, eta=eta_for(10, 12),
+        cfg = SolverConfig(tau=tau, nu1=nu1, nu2=nu2,
                            max_iter=60000, tol_abs=1e-10, tol_rel=1e-9)
         f = fit(data, cfg, scales)
         th = cp.Variable(2)
@@ -234,24 +235,6 @@ class TestFit:
 
 
 class TestAdmmResiduals:
-    def test_feasible_stationary_state_is_zero(self):
-        rng = np.random.default_rng(38)
-        data = random_panel(rng, 3, 4, 2)
-        eta = 1.0
-        s = AdmmState.zeros(3, 4, 2, eta)
-        s.theta = rng.standard_normal(2)
-        s.z_theta = s.theta.copy()
-        s.pi = rng.standard_normal((3, 4))
-        s.z_pi = s.pi.copy()
-        s.w = data.y - data.x @ s.theta - s.z_pi
-        s.v = s.w.copy()
-        s.w_prev = s.w.copy()
-        s.z_pi_prev = s.z_pi.copy()
-        s.z_theta_prev = s.z_theta.copy()
-        primal, dual = admm_residuals(s, data)
-        assert primal == pytest.approx(0.0, abs=1e-12)
-        assert dual == pytest.approx(0.0, abs=1e-12)
-
     def test_first_sweep_from_zero_is_infeasible(self):
         inst = generate(DesignSpec("D1", 5, 5, 2, seed=23))
         scales = compute_column_scales(inst.data)
@@ -273,7 +256,7 @@ class TestFitNoCovariates:
         v = np.arange(1.0, 16.0)
         v /= np.linalg.norm(v)
         y = 100.0 * np.outer(u, v)
-        cfg = SolverConfig(tau=0.5, nu2=1e-4, eta=eta_for(12, 15), max_iter=10000)
+        cfg = SolverConfig(tau=0.5, nu2=1e-4, max_iter=10000)
         f = fit(PanelData.without_covariates(y), cfg)
         assert f.rank_estimate == 1
         assert np.linalg.norm(f.pi - y) / np.linalg.norm(y) <= 0.05
@@ -281,7 +264,7 @@ class TestFitNoCovariates:
     def test_large_penalty_returns_zero(self):
         rng = np.random.default_rng(39)
         y = rng.standard_normal((6, 8))
-        cfg = SolverConfig(tau=0.5, nu2=1e3, eta=eta_for(6, 8))
+        cfg = SolverConfig(tau=0.5, nu2=1e3)
         f = fit(PanelData.without_covariates(y), cfg)
         assert np.abs(f.pi).max() == 0.0
         assert f.rank_estimate == 0
@@ -291,7 +274,7 @@ class TestFitNoCovariates:
         y = rng.standard_normal((3, 3))
         fits = {}
         for tau in (0.25, 0.5, 0.75):
-            cfg = SolverConfig(tau=tau, nu2=0.0, eta=eta_for(3, 3),
+            cfg = SolverConfig(tau=tau, nu2=0.0,
                                max_iter=60000, tol_abs=1e-11, tol_rel=1e-10)
             fits[tau] = fit(PanelData.without_covariates(y), cfg)
         # with no penalty each cell fits its own sample quantile, which is y itself
@@ -308,7 +291,7 @@ class TestFitNoCovariates:
     def test_init_and_callback_are_honoured(self):
         rng = np.random.default_rng(41)
         y = rng.standard_normal((5, 6))
-        cfg = SolverConfig(tau=0.5, nu2=0.05, eta=eta_for(5, 6), max_iter=20000)
+        cfg = SolverConfig(tau=0.5, nu2=0.05, max_iter=20000)
         state = AdmmState.zeros(5, 6, 0, cfg.eta)
         sweeps = []
         f = fit(PanelData.without_covariates(y), cfg, init=state,

@@ -20,6 +20,14 @@ def run(*args):
 SOLVER_FLAGS = {"eta", "max_iter", "tol_abs", "tol_rel", "loss", "fix_pi_zero"}
 
 
+def write_divergent_panel(tmp_path):
+    """A 2x2 panel with y = 1e308 and x = 1, on which ADMM overflows."""
+    path = tmp_path / "panel.csv"
+    path.write_text("unit,period,y,x1\n"
+                    + "".join(f"u{i},t{t},1e308,1\n" for i in (1, 2) for t in (1, 2)))
+    return path
+
+
 def simulate_small(tmp_path, seed=7, n=12, t=12, p=2):
     out = tmp_path / "sim"
     code = run("simulate", "--design", "D1", "--n", n, "--p", p, "--T", t,
@@ -213,9 +221,7 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_divergent_fit_exits_4(self, tmp_path, capsys):
-        path = tmp_path / "panel.csv"
-        path.write_text("unit,period,y,x1\n"
-                        + "".join(f"u{i},t{t},1e308,1\n" for i in (1, 2) for t in (1, 2)))
+        path = write_divergent_panel(tmp_path)
         code = run("fit", "--panel", path, "--nu1", 0.1, "--nu2", 0.1,
                    "--max-iter", 50, "--out", tmp_path / "fit")
         assert code == 4
@@ -241,13 +247,28 @@ class TestErrorPaths:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_runs_without_runtime_warning(self):
+    @staticmethod
+    def python_m(*args):
         src = str(Path(quantfactor.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "quantfactor.cli",
-             "--help"],
-            capture_output=True, text=True, env=env, timeout=120,
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_python_m_runs_without_runtime_warning(self):
+        proc = self.python_m("-W", "error::RuntimeWarning", "-m", "quantfactor.cli",
+                             "--help")
         assert proc.returncode == 0, proc.stderr
+
+    def test_divergent_fit_prints_one_error_line(self, tmp_path):
+        # pytest captures numpy's RuntimeWarnings before they reach stderr, so
+        # only a separate process shows what a user sees there
+        path = write_divergent_panel(tmp_path)
+        proc = self.python_m("-m", "quantfactor.cli", "fit", "--panel", str(path),
+                             "--nu1", "0.1", "--nu2", "0.1", "--max-iter", "50",
+                             "--out", str(tmp_path / "fit"))
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "error:NonFiniteIterate: ADMM iterate became non-finite; try a different eta\n"
+        )

@@ -4,6 +4,7 @@ import pytest
 from quantfactor import (
     AllZeroSpectrum,
     DimensionMismatch,
+    NonFiniteInput,
     RankTooLarge,
     extract_factors,
     procrustes_distance,
@@ -71,6 +72,13 @@ class TestExtractFactors:
             extract_factors(np.zeros((3, 5)), 4)
         with pytest.raises(RankTooLarge):
             extract_factors(np.zeros((3, 5)), 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # LAPACK returns a NaN spectrum for the inf case and can loop without
+        # end on larger non-finite inputs, so the check must come first
+        with pytest.raises(NonFiniteInput):
+            extract_factors(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
 
 
 class TestVarianceExplained:
@@ -148,3 +156,11 @@ class TestProcrustesDistance:
             procrustes_distance(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(DimensionMismatch):
             procrustes_distance(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonFiniteInput):
+            procrustes_distance(m, np.eye(2))
+        with pytest.raises(NonFiniteInput):
+            procrustes_distance(np.eye(2), m)

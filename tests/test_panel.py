@@ -206,6 +206,6 @@ class TestSolverConfig:
 
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.eta == 1.0
+        assert cfg.eta is None
         assert cfg.max_iter == 5000
         assert (cfg.tol_abs, cfg.tol_rel) == (1e-6, 1e-5)
