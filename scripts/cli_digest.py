@@ -1,0 +1,62 @@
+"""Digest of the files a fixed set of CLI calls writes, to check byte-identity.
+
+Runs simulate (D1, D4), fit (two taus, --fix-pi-zero, --loss squared, a
+rank-zero fit, a missing panel), tune (explicit grid; default grid with
+--c1), factors, bench (three methods with --oracle) and bench --max-iter 1
+through `cli_main`, in a temporary working directory with relative --out and
+--panel paths, so the summary.json config echo is the same wherever the
+script runs.  It prints the exit code of each call, then
+"sha256  relative/path" for every file written.
+
+Two source trees write the same bytes when their digests agree, e.g. a parent
+checkout against this one, run from the repository root:
+
+    diff <(PYTHONPATH=<parent>/src python scripts/cli_digest.py) \\
+         <(PYTHONPATH=src python scripts/cli_digest.py)
+"""
+
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
+from quantfactor.cli import cli_main
+
+FIT = ["--nu1", "1e-4", "--nu2", "1e-2", "--max-iter", "2000"]
+BENCH = ["--design", "D1", "--n", "10", "--p", "2", "--T", "12", "--reps", "2"]
+
+CALLS = [
+    ["simulate", "--design", "D1", "--n", "12", "--p", "3", "--T", "10", "--seed", "1",
+     "--out", "sim1"],
+    ["simulate", "--design", "D4", "--n", "8", "--p", "2", "--T", "9", "--seed", "2",
+     "--out", "sim4"],
+    ["fit", "--panel", "sim1/panel.csv", "--tau", "0.25,0.75", *FIT, "--out", "fit_taus"],
+    ["fit", "--panel", "sim1/panel.csv", *FIT, "--fix-pi-zero", "--out", "fit_l1qr"],
+    ["fit", "--panel", "sim4/panel.csv", *FIT, "--loss", "squared", "--out", "fit_sq"],
+    ["fit", "--panel", "sim1/panel.csv", "--nu2", "10", "--out", "fit_rank0"],
+    ["fit", "--panel", "missing.csv", "--out", "fit_missing"],
+    ["tune", "--panel", "sim1/panel.csv", "--tau", "0.5,0.9", "--grid-nu1", "1e-3,1e-4",
+     "--grid-nu2", "1e-2,1e-3", "--out", "tune_grid"],
+    ["tune", "--panel", "sim4/panel.csv", "--c1", "0.5", "--max-iter", "500",
+     "--out", "tune_default"],
+    ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "2", "--out", "factors"],
+    ["bench", *BENCH, "--methods", "l1nnqr,l1qr,l1nnls", "--oracle",
+     "--grid-nu1", "1e-3,1e-4", "--grid-nu2", "1e-2,1e-3", "--out", "bench_oracle"],
+    ["bench", *BENCH, "--max-iter", "1", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
+     "--out", "bench_fail"],
+]
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for argv in CALLS:
+            print(cli_main(argv), " ".join(argv))
+        root = Path(tmp)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -290,19 +290,17 @@ def fit(
                 converged = True
                 break
 
-    theta_hat = s.z_theta.copy()
-    pi_hat = s.pi.copy()
-    objective = penalized_objective(data, theta_hat, pi_hat, config, scales)
+    objective = penalized_objective(data, s.z_theta, s.pi, config, scales)
     return QuantileFit(
         tau=config.tau,
-        theta=theta_hat,
-        pi=pi_hat,
+        theta=s.z_theta,
+        pi=s.pi,
         objective=objective,
         iterations=sweep,
         converged=converged,
         primal_residual=primal,
         dual_residual=dual,
         rank_estimate=estimate_rank(svals),
-        sparsity_estimate=estimate_sparsity(theta_hat),
-        singular_values=svals.copy(),
+        sparsity_estimate=estimate_sparsity(s.z_theta),
+        singular_values=svals,
     )

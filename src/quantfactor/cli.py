@@ -8,8 +8,6 @@ print one machine-parsable line: "error:<Category>: <detail>".
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,7 +21,9 @@ from .panel import LOSSES, SolverConfig, compute_column_scales
 from .panel_io import (
     read_matrix_csv,
     read_panel_csv,
+    write_csv,
     write_fit,
+    write_json,
     write_matrix_csv,
     write_sim_instance,
 )
@@ -156,19 +156,12 @@ def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
     for tau in args.taus:
         report = grid_search(data, grid, _solver_config(args, tau), c1=args.c1,
                              scales=scales)
-        out_dir = _tau_dir(args.out, tau)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "selection.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["nu1", "nu2", "bic", "sparsity", "rank", "objective", "converged"]
-            )
-            for row in report.table:
-                writer.writerow(
-                    [f"{row.nu1:.17g}", f"{row.nu2:.17g}", f"{row.bic:.17g}",
-                     row.sparsity, row.rank, f"{row.objective:.17g}",
-                     int(row.converged)]
-                )
+        write_csv(
+            _tau_dir(args.out, tau) / "selection.csv",
+            ([row.nu1, row.nu2, row.bic, row.sparsity, row.rank, row.objective,
+              int(row.converged)] for row in report.table),
+            ["nu1", "nu2", "bic", "sparsity", "rank", "objective", "converged"],
+        )
         _write_one_fit(report.best_fit, scales, args.out, echo, tau,
                        report.best_nu1, report.best_nu2)
     return 0
@@ -185,17 +178,15 @@ def _cmd_factors(args: argparse.Namespace, echo: dict) -> int:
     pi = read_matrix_csv(args.pi_path)
     decomposition = extract_factors(pi, args.rank)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(decomposition.factors, out_dir / "factors.csv")
     write_matrix_csv(decomposition.loadings, out_dir / "loadings.csv")
     shares = variance_explained(decomposition.singular_values)
-    with open(out_dir / "variance.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "singular_value", "percent"])
-        for k, (sv, share) in enumerate(
-            zip(decomposition.singular_values, shares), start=1
-        ):
-            writer.writerow([k, f"{sv:.17g}", f"{share:.17g}"])
+    write_csv(
+        out_dir / "variance.csv",
+        ([k, sv, share] for k, (sv, share)
+         in enumerate(zip(decomposition.singular_values, shares), start=1)),
+        ["component", "singular_value", "percent"],
+    )
     return 0
 
 
@@ -208,30 +199,22 @@ def _cmd_bench(args: argparse.Namespace, echo: dict) -> int:
         oracle_tuning=args.oracle, base_config=base, c1=args.c1,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tuning = "oracle" if args.oracle else "bic"
-    with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "design", "n", "p", "T", "reps", "tuning",
-             "theta_err_scaled_mean", "quantile_err_mean", "failed_reps"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [rep.method, rep.design, rep.n, rep.p, rep.t_len, rep.reps, tuning,
-                 f"{rep.mean_theta_err_scaled:.17g}",
-                 f"{rep.mean_quantile_err:.17g}", rep.failed_reps]
-            )
-    with open(out_dir / "per_rep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "rep", "theta_err_scaled", "quantile_err"])
-        for rep in reports:
-            for r, (te, qe) in enumerate(
-                zip(rep.per_rep_theta_err, rep.per_rep_quantile_err)
-            ):
-                writer.writerow([rep.method, r, f"{te:.17g}", f"{qe:.17g}"])
-    with open(out_dir / "bench_config.json", "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, sort_keys=True, indent=2)
+    write_csv(
+        out_dir / "bench.csv",
+        ([rep.method, spec.design, spec.n, spec.p, spec.t_len, rep.reps, tuning,
+          rep.mean_theta_err_scaled, rep.mean_quantile_err, rep.failed_reps]
+         for rep in reports),
+        ["method", "design", "n", "p", "T", "reps", "tuning",
+         "theta_err_scaled_mean", "quantile_err_mean", "failed_reps"],
+    )
+    write_csv(
+        out_dir / "per_rep.csv",
+        ([rep.method, r, te, qe] for rep in reports
+         for r, (te, qe) in enumerate(zip(rep.per_rep_theta_err, rep.per_rep_quantile_err))),
+        ["method", "rep", "theta_err_scaled", "quantile_err"],
+    )
+    write_json(out_dir / "bench_config.json", echo)
     return 0
 
 

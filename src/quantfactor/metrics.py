@@ -60,10 +60,6 @@ class McReport:
     """Aggregated Monte Carlo results for one method on one design."""
 
     method: str
-    design: str
-    n: int
-    p: int
-    t_len: int
     reps: int
     mean_theta_err_scaled: float
     mean_quantile_err: float
@@ -185,10 +181,6 @@ def run_monte_carlo(
         reports.append(
             McReport(
                 method=m,
-                design=spec.design,
-                n=spec.n,
-                p=spec.p,
-                t_len=spec.t_len,
                 reps=theta.size,
                 mean_theta_err_scaled=float(theta.mean()) if theta.size else float("nan"),
                 mean_quantile_err=float(q.mean()) if q.size else float("nan"),

@@ -204,9 +204,7 @@ def penalized_objective(
         raise DimensionMismatch(f"theta has length {theta.size}, expected {data.p}")
     if pi.shape != data.y.shape:
         raise DimensionMismatch(f"pi has shape {pi.shape}, expected {data.y.shape}")
-    resid = data.y - pi
-    if data.p:
-        resid = resid - data.x @ theta
+    resid = data.y - pi - data.x @ theta
     if config.loss == "squared":
         fit_term = float(np.mean(resid ** 2))
     else:

@@ -2,8 +2,10 @@
 
 Panel files are long format with header "unit,period,y,x1,...,xp"; units and
 periods map to dense indices by first appearance, so arbitrary labels work.
-All numeric text uses 17 significant digits, which round-trips doubles
-exactly.  Files are UTF-8, comma-delimited, '.' decimal.
+Every file the package writes goes through write_csv or write_json.  CSV
+floats use 17 significant digits, which round-trips doubles exactly; files
+are UTF-8, comma-delimited, '.' decimal, with "\r\n" row ends.  JSON files
+have sorted keys and an indent of 2.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from .errors import DuplicateCell, EmptyFile, ParseError, UnbalancedPanel
 from .factors import FactorDecomposition
 from .panel import ColumnScales, PanelData, QuantileFit
 from .simulate import RNG_ALGORITHM, SimInstance
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
 
 
 def read_panel_csv(path) -> PanelData:
@@ -88,33 +86,40 @@ def read_panel_csv(path) -> PanelData:
     return PanelData(y, x)
 
 
-def write_panel_csv(data: PanelData, path, units=None, periods=None):
-    """Write a panel in long format; default labels are 1..n and 1..T."""
+def write_csv(path, rows, header=None):
+    """Write rows as CSV; float cells get 17 significant digits, others their text."""
     path = Path(path)
-    if units is None:
-        units = [str(i) for i in range(1, data.n + 1)]
-    if periods is None:
-        periods = [str(t) for t in range(1, data.t_len + 1)]
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["unit", "period", "y"] + [f"x{j}" for j in range(1, data.p + 1)])
-        for i in range(data.n):
-            for t in range(data.t_len):
-                row = [units[i], periods[t], _fmt(data.y[i, t])]
-                row += [_fmt(v) for v in data.x[i, t, :]]
-                writer.writerow(row)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([f"{c:.17g}" if isinstance(c, float) else c for c in row]
+                         for row in rows)
     return path
+
+
+def write_json(path, obj):
+    """Write obj as JSON with sorted keys and an indent of 2."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+    return path
+
+
+def write_panel_csv(data: PanelData, path):
+    """Write a panel in long format with unit labels 1..n and period labels 1..T."""
+    header = ["unit", "period", "y"] + [f"x{j}" for j in range(1, data.p + 1)]
+    y, x = data.y.tolist(), data.x.tolist()
+    rows = ([i + 1, t + 1, y[i][t], *x[i][t]]
+            for i in range(data.n) for t in range(data.t_len))
+    return write_csv(path, rows, header)
 
 
 def write_matrix_csv(matrix, path):
     """Dense numeric matrix, one CSV row per matrix row, no header."""
-    path = Path(path)
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
-    return path
+    return write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=float)).tolist())
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -142,7 +147,6 @@ def read_matrix_csv(path) -> np.ndarray:
 def write_sim_instance(inst: SimInstance, out_dir, seed: int, design: str):
     """Panel CSV plus a JSON sidecar holding the generative truth."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     panel_path = write_panel_csv(inst.data, out_dir / "panel.csv")
     truth = {
         "design": design,
@@ -151,16 +155,11 @@ def write_sim_instance(inst: SimInstance, out_dir, seed: int, design: str):
         "p": inst.data.p,
         "seed": seed,
         "rng": RNG_ALGORITHM,
-        "theta_true": [float(v) for v in inst.theta_true],
-        "scale_coef": None
-        if inst.scale_coef is None
-        else [float(v) for v in inst.scale_coef],
-        "pi_true": [[float(v) for v in row] for row in inst.pi_true],
+        "theta_true": inst.theta_true.tolist(),
+        "scale_coef": None if inst.scale_coef is None else inst.scale_coef.tolist(),
+        "pi_true": inst.pi_true.tolist(),
     }
-    truth_path = out_dir / "truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=2)
-    return panel_path, truth_path
+    return panel_path, write_json(out_dir / "truth.json", truth)
 
 
 def write_fit(
@@ -176,27 +175,19 @@ def write_fit(
     A rank-zero fit writes empty factor and loading files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    theta_path = out_dir / "theta.csv"
-    with open(theta_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "value", "scale"])
-        for j, value in enumerate(fit_result.theta, start=1):
-            scale = scales.sigma_hat[j - 1] if scales is not None else 1.0
-            writer.writerow([j, _fmt(value), _fmt(scale)])
-    paths["theta"] = theta_path
-
-    paths["pi"] = write_matrix_csv(fit_result.pi, out_dir / "pi.csv")
+    theta = fit_result.theta.tolist()
+    weights = scales.sigma_hat.tolist() if scales is not None else [1.0] * len(theta)
+    rows = zip(range(1, len(theta) + 1), theta, weights, strict=True)
+    paths = {
+        "theta": write_csv(out_dir / "theta.csv", rows, ["j", "value", "scale"]),
+        "pi": write_matrix_csv(fit_result.pi, out_dir / "pi.csv"),
+    }
     if decomposition is not None:
         paths["factors"] = write_matrix_csv(decomposition.factors, out_dir / "factors.csv")
         paths["loadings"] = write_matrix_csv(decomposition.loadings, out_dir / "loadings.csv")
     else:
-        for name in ("factors", "loadings"):
-            path = out_dir / f"{name}.csv"
-            path.write_text("", encoding="utf-8")
-            paths[name] = path
+        paths["factors"] = write_csv(out_dir / "factors.csv", [])
+        paths["loadings"] = write_csv(out_dir / "loadings.csv", [])
 
     echo = config_echo or {}
     summary = {
@@ -210,33 +201,10 @@ def write_fit(
         "converged": fit_result.converged,
         "primal_residual": fit_result.primal_residual,
         "dual_residual": fit_result.dual_residual,
-        "singular_values": [float(v) for v in fit_result.singular_values],
+        "singular_values": fit_result.singular_values.tolist(),
         "rng": RNG_ALGORITHM,
         "config": echo,
     }
-    summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-    paths["summary"] = summary_path
+    paths["summary"] = write_json(out_dir / "summary.json", summary)
     return paths
-
-
-def read_theta_csv(path):
-    """Read theta.csv back as (values, scales)."""
-    path = Path(path)
-    values, weights = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile(f"{path} is empty")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values.append(float(row[1]))
-                weights.append(float(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad theta row") from exc
-    return np.asarray(values), np.asarray(weights)
 

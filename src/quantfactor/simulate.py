@@ -37,7 +37,6 @@ class DesignSpec:
     t_len: int
     p: int
     seed: int
-    scale_coef_override: tuple | None = None
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -111,12 +110,7 @@ def generate(spec: DesignSpec) -> SimInstance:
 
     scale_coef = None
     if spec.design in ("D2", "D4"):
-        if spec.scale_coef_override is not None:
-            scale_coef = np.asarray(spec.scale_coef_override, dtype=float)
-            if scale_coef.shape != (p,):
-                raise ValueError("scale_coef_override must have length p")
-        else:
-            scale_coef = np.arange(1, p + 1) / (2.0 * p)
+        scale_coef = np.arange(1, p + 1) / (2.0 * p)
         eps = rng.standard_normal((n, t_len))
         y = surface + (x @ scale_coef) * eps
     else:

@@ -148,6 +148,17 @@ class TestFit:
         cold = fit(data, SolverConfig(tau=0.5, nu1=0.02, nu2=0.02, **common), scales)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-4)
 
+    def test_result_does_not_alias_warm_start_state(self):
+        rng = np.random.default_rng(38)
+        data = random_panel(rng, 5, 6, 2)
+        state = AdmmState.zeros(5, 6, 2, None)
+        first = fit(data, SolverConfig(tau=0.5, nu1=0.05, nu2=0.05), init=state)
+        theta, pi = first.theta.copy(), first.pi.copy()
+        fit(data, SolverConfig(tau=0.5, nu1=0.001, nu2=0.001), init=state)
+        assert not np.array_equal(state.pi, pi)
+        np.testing.assert_array_equal(first.theta, theta)
+        np.testing.assert_array_equal(first.pi, pi)
+
     def test_monotone_primal_feasibility_near_convergence(self):
         inst = generate(DesignSpec("D1", 15, 15, 2, seed=9))
         scales = compute_column_scales(inst.data)

@@ -18,8 +18,9 @@ from quantfactor import (
     write_panel_csv,
     write_sim_instance,
 )
-from quantfactor.panel_io import read_theta_csv
+from quantfactor.cli import cli_main
 from quantfactor.factors import extract_factors
+from quantfactor.panel import ColumnScales, PanelData, QuantileFit
 from quantfactor.simulate import DesignSpec, generate
 
 
@@ -147,7 +148,8 @@ class TestWriteFit:
     def test_theta_roundtrip_is_exact(self, tmp_path):
         result, scales = self.fitted()
         paths = write_fit(result, None, tmp_path, scales=scales)
-        values, weights = read_theta_csv(paths["theta"])
+        values, weights = np.loadtxt(paths["theta"], delimiter=",", skiprows=1,
+                                     usecols=(1, 2), ndmin=2, unpack=True)
         np.testing.assert_allclose(values, result.theta, atol=1e-12)
         np.testing.assert_allclose(weights, scales.sigma_hat, atol=1e-12)
 
@@ -157,3 +159,68 @@ class TestWriteFit:
         assert paths["factors"].read_text() == ""
         assert paths["loadings"].read_text() == ""
 
+
+
+class TestFormatBytes:
+    """The exact bytes of the written formats: 17 significant digits, CRLF rows."""
+
+    @staticmethod
+    def theta_fit(theta):
+        return QuantileFit(tau=0.5, theta=theta, pi=np.zeros((1, 1)), objective=0.0,
+                           iterations=1, converged=True, primal_residual=0.0,
+                           dual_residual=0.0, rank_estimate=0, sparsity_estimate=1,
+                           singular_values=[0.0])
+
+    @staticmethod
+    def float_cells_are_17g(path, columns):
+        rows = path.read_text(encoding="utf-8").splitlines()
+        header = rows[0].split(",")
+        assert len(rows) > 1
+        for row in rows[1:]:
+            for name in columns:
+                cell = row.split(",")[header.index(name)]
+                assert cell == format(float(cell), ".17g")
+
+    def test_matrix_bytes(self, tmp_path):
+        path = write_matrix_csv([[0.1, 1 / 3], [2.0, -1e-300]], tmp_path / "m.csv")
+        assert path.read_bytes() == (b"0.10000000000000001,0.33333333333333331\r\n"
+                                     b"2,-1e-300\r\n")
+
+    def test_panel_bytes(self, tmp_path):
+        data = PanelData(np.array([[0.5, -2.0]]), np.array([[[0.1], [3.0]]]))
+        path = write_panel_csv(data, tmp_path / "panel.csv")
+        assert path.read_bytes() == (b"unit,period,y,x1\r\n1,1,0.5,0.10000000000000001\r\n"
+                                     b"1,2,-2,3\r\n")
+
+    def test_theta_bytes(self, tmp_path):
+        result = self.theta_fit([0.1, 0.0])
+        paths = write_fit(result, None, tmp_path / "scaled",
+                          scales=ColumnScales(np.array([1.5, 2 / 3])))
+        assert paths["theta"].read_bytes() == (b"j,value,scale\r\n"
+                                               b"1,0.10000000000000001,1.5\r\n"
+                                               b"2,0,0.66666666666666663\r\n")
+        paths = write_fit(result, None, tmp_path / "unscaled")
+        assert paths["theta"].read_bytes() == (b"j,value,scale\r\n"
+                                               b"1,0.10000000000000001,1\r\n2,0,1\r\n")
+
+    def test_failed_bench_row(self, tmp_path):
+        assert cli_main(["bench", "--design", "D1", "--n", "10", "--p", "2", "--T", "12",
+                         "--reps", "2", "--max-iter", "1", "--grid-nu1", "1e-3",
+                         "--grid-nu2", "1e-2", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "bench.csv").read_bytes().split(b"\r\n")
+        assert rows[1:] == [b"l1nnqr,D1,10,2,12,0,bic,nan,nan,2", b""]
+
+    def test_selection_and_variance_cells(self, tmp_path):
+        panel = write_panel_csv(generate(DesignSpec("D1", 6, 7, 2, seed=35)).data,
+                                tmp_path / "panel.csv")
+        assert cli_main(["tune", "--panel", str(panel), "--grid-nu1", "1e-3,1e-4",
+                         "--grid-nu2", "1e-2,1e-3",
+                         "--out", str(tmp_path / "tune")]) == 0
+        self.float_cells_are_17g(tmp_path / "tune" / "tau_0.5" / "selection.csv",
+                                 ("nu1", "nu2", "bic", "objective"))
+        pi = np.random.default_rng(36).standard_normal((5, 4))
+        write_matrix_csv(pi, tmp_path / "pi.csv")
+        assert cli_main(["factors", "--pi", str(tmp_path / "pi.csv"), "--rank", "2",
+                         "--out", str(tmp_path / "factors")]) == 0
+        self.float_cells_are_17g(tmp_path / "factors" / "variance.csv",
+                                 ("singular_value", "percent"))

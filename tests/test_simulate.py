@@ -88,13 +88,6 @@ class TestGenerate:
             bound = 3 * 0.5 / np.sqrt(resid.size)
             assert abs(frac - 0.5) <= bound
 
-    def test_scale_override(self):
-        inst = generate(DesignSpec("D2", 3, 3, 2, seed=11,
-                                   scale_coef_override=(0.3, 0.9)))
-        np.testing.assert_allclose(inst.scale_coef, [0.3, 0.9])
-        with pytest.raises(ValueError):
-            generate(DesignSpec("D2", 3, 3, 2, seed=11, scale_coef_override=(0.3,)))
-
 
 class TestScaledT3:
     def test_moments_and_median(self):
