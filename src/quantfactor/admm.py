@@ -236,6 +236,9 @@ def fit(
     squared = config.loss == "squared"
     fix_pi = config.fix_pi_zero
     svals = np.zeros(min(n, t_len))
+    # Each sweep's SVT takes the previous sweep's rank as its hint; the first
+    # has none and runs the dense SVD.
+    rank_hint = None
 
     converged = False
     primal = dual = np.inf
@@ -255,9 +258,10 @@ def fit(
 
             # Pi: singular value shrinkage of Z_Pi + U_Pi (skipped when pinned).
             if not fix_pi:
-                svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold)
+                svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold, rank_hint)
                 s.pi = svt.matrix
                 svals = svt.singular_values_after
+                rank_hint = estimate_rank(svals)
 
             # Z_theta: soft threshold with the scale-weighted l1 level.
             s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)

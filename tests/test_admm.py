@@ -13,6 +13,7 @@ from quantfactor import (
     penalized_objective,
     solve_zw_joint,
 )
+from quantfactor import admm
 from quantfactor.simulate import DesignSpec, generate
 
 import oracles
@@ -189,6 +190,31 @@ class TestFit:
         np.testing.assert_array_equal(derived.theta, explicit.theta)
         np.testing.assert_array_equal(derived.pi, explicit.pi)
         assert derived.iterations == explicit.iterations
+
+    @pytest.mark.parametrize("nu2, rank", [(1e-2, 1), (1e-3, 30)])
+    def test_rank_hint_leaves_the_fit_unchanged(self, monkeypatch, nu2, rank):
+        # fit hints each SVT with the last sweep's rank; dropping the hint
+        # runs the dense SVD on every sweep, and the fit must not notice
+        inst = generate(DesignSpec("D1", 30, 40, 3, seed=21))
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=nu2)
+        svt = admm.singular_value_threshold
+        hints = []
+
+        def recording(m, threshold, rank_hint=None):
+            hints.append(rank_hint)
+            return svt(m, threshold, rank_hint)
+
+        monkeypatch.setattr(admm, "singular_value_threshold", recording)
+        hinted = fit(inst.data, cfg)
+        monkeypatch.setattr(admm, "singular_value_threshold",
+                            lambda m, threshold, rank_hint=None: svt(m, threshold))
+        dense = fit(inst.data, cfg)
+        assert hints[0] is None and len(hints) == hinted.iterations
+        assert hints.count(rank) > hinted.iterations // 2
+        assert hinted.rank_estimate == dense.rank_estimate == rank
+        assert hinted.sparsity_estimate == dense.sparsity_estimate
+        assert hinted.converged and dense.converged
+        assert hinted.objective == pytest.approx(dense.objective, rel=1e-9)
 
     def test_divergent_scale_raises(self):
         y = np.full((2, 2), 1e308)

@@ -4,12 +4,15 @@ import pytest
 from quantfactor import (
     LengthMismatch,
     NonFiniteInput,
+    SvdFailure,
     estimate_rank,
     prox_pinball,
     prox_squared,
     singular_value_threshold,
     soft_threshold,
 )
+
+from quantfactor import prox
 
 import oracles
 
@@ -152,7 +155,7 @@ class TestSingularValueThreshold:
     def test_identity_shrinks_uniformly(self):
         res = singular_value_threshold(np.eye(2), 0.4)
         np.testing.assert_allclose(res.matrix, 0.6 * np.eye(2), atol=1e-12)
-        assert estimate_rank(res.singular_values_after) == 2
+        assert np.count_nonzero(res.singular_values_after) == 2
         np.testing.assert_allclose(res.singular_values_after, [0.6, 0.6], atol=1e-12)
 
     def test_kills_small_singular_value(self):
@@ -207,3 +210,104 @@ class TestSingularValueThreshold:
         # end on larger non-finite inputs, so the check must come first
         with pytest.raises(NonFiniteInput):
             singular_value_threshold(np.array([[bad, 0.0], [0.0, 1.0]]), 0.1)
+
+
+def dense_svt(m, thr):
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - thr, 0.0)) @ vt, s
+
+
+class TestPartialSvt:
+    # criterion-2-style Gaussian matrices, wide and tall; min(n, T) = 40 and 30
+    # put the partial path's cut-over at rank 4 and 3
+    SHAPES = [(40, 70), (75, 30)]
+
+    @staticmethod
+    def cut_over(shape):
+        return int(prox.PARTIAL_RANK_FRACTION * min(shape))
+
+    @staticmethod
+    def case(shape, kept, seed):
+        """A matrix and a threshold between its kept-th and next singular value."""
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal(shape) * rng.uniform(0.5, 3.0)
+        s = np.linalg.svd(m, compute_uv=False)
+        thr = 1.1 * s[0] if kept == 0 else 0.5 * (s[kept - 1] + s[kept])
+        return m, thr
+
+    def check(self, m, thr, hint, kept):
+        """Agreement with the dense SVT, and the path the cut-over calls for."""
+        res = singular_value_threshold(m, thr, hint)
+        want, s = dense_svt(m, thr)
+        scale = max(1.0, s[0])
+        assert res.singular_values_before.shape == (min(m.shape),)
+        assert res.singular_values_after.shape == (min(m.shape),)
+        assert np.abs(res.matrix - want).max() <= 1e-10 * scale
+        np.testing.assert_allclose(res.singular_values_after, np.maximum(s - thr, 0.0),
+                                   rtol=0, atol=1e-10 * scale)
+        cap = self.cut_over(m.shape)
+        if thr > 0 and hint is not None and hint <= cap and kept <= cap:
+            np.testing.assert_allclose(res.singular_values_before[:kept], s[:kept],
+                                       rtol=0, atol=1e-10 * scale)
+            assert not res.singular_values_before[kept:].any()
+        else:
+            np.testing.assert_array_equal(res.singular_values_before, s)
+        return res
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kept", [0, 1, 2, 3])
+    @pytest.mark.parametrize("hint", ["none", "zero", "exact", "too_small", "too_large",
+                                      "above_cut"])
+    def test_agrees_with_dense(self, shape, kept, hint):
+        m, thr = self.case(shape, kept, seed=100 * kept + shape[0])
+        cap = self.cut_over(shape)
+        hint = {"none": None, "zero": 0, "exact": kept, "too_small": max(0, kept - 1),
+                "too_large": kept + 1, "above_cut": cap + 1}[hint]
+        self.check(m, thr, hint, kept)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rank_above_cut_over_falls_back(self, shape):
+        # a hint the matrix outgrew: the partial path finds too many pairs
+        kept = self.cut_over(shape) + 3
+        m, thr = self.case(shape, kept, seed=7)
+        for hint in (0, 1):
+            self.check(m, thr, hint, kept)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_threshold_returns_input(self, shape):
+        m, _ = self.case(shape, 1, seed=8)
+        res = self.check(m, 0.0, 1, min(shape))
+        np.testing.assert_allclose(res.matrix, m, rtol=0, atol=1e-12 * np.abs(m).max())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_matrix(self, shape):
+        res = self.check(np.zeros(shape), 0.5, 0, 0)
+        assert not res.matrix.any()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_tiny_threshold_stays_exact(self, shape, ratio):
+        # two strong directions and a spectrum running down past the
+        # threshold: the Gram matrix loses values below sqrt(eps) * sigma_1
+        rng = np.random.default_rng(9)
+        k = min(shape)
+        u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        s = np.concatenate([[1.0, 2 * ratio], np.geomspace(0.9 * ratio, 1e-3 * ratio, 4),
+                            np.zeros(k - 6)])
+        m = (u * s) @ v.T
+        res = singular_value_threshold(m, ratio, 1)
+        want, _ = dense_svt(m, ratio)
+        assert np.abs(res.matrix - want).max() <= 1e-10
+        assert np.count_nonzero(res.singular_values_after) == 2
+
+    @pytest.mark.parametrize("owner, name, hint", [(prox, "eigh", 1),
+                                                   (np.linalg, "svd", None)])
+    def test_lapack_failure_maps_to_svd_failure(self, monkeypatch, owner, name, hint):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        m, thr = self.case((40, 70), 1, seed=10)
+        monkeypatch.setattr(owner, name, fail)
+        with pytest.raises(SvdFailure):
+            singular_value_threshold(m, thr, hint)
