@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dsyrk
 
 from .errors import LengthMismatch, NonFiniteInput, SvdFailure
 
@@ -106,12 +107,17 @@ def _partial_svt(m: np.ndarray, threshold: float, max_rank: int) -> SvtResult | 
     """
     n, t_len = m.shape
     wide = n <= t_len
-    gram = m @ m.T if wide else m.T @ m
+    # The Gram matrix comes from scipy's BLAS, as the eigensolve does: numpy
+    # and scipy each load their own threaded OpenBLAS, and a numpy product
+    # right before the scipy solve leaves numpy's workers spinning against
+    # scipy's, which made this path ten times slower on two threads.  dsyrk
+    # fills the upper triangle only, the one eigh reads with lower=False.
+    gram = dsyrk(1.0, m.T, trans=1 if wide else 0)
     thr_sq = threshold * threshold
     if thr_sq <= PARTIAL_MIN_THRESHOLD_SQ * np.trace(gram):
         return None
     try:
-        w, q = eigh(gram, subset_by_value=(thr_sq, np.inf), driver="evr")
+        w, q = eigh(gram, lower=False, subset_by_value=(thr_sq, np.inf), driver="evr")
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"eigh did not converge on a {gram.shape} Gram matrix") from exc
     k = w.size
