@@ -185,7 +185,8 @@ def fit(
         l1 penalty weights; computed from the data when omitted.
     init : AdmmState, optional
         Warm start, advanced in place: on return it holds the final iterates,
-        which grid search reuses, and the eta used.
+        which grid search reuses, and the eta used.  A state whose eta is set
+        and differs from this fit's has its scaled duals rescaled by old/new.
     gram : GramCache, optional
         Shared factorization of (sum X X' + I); computed when omitted.
     callback : callable, optional
@@ -224,6 +225,11 @@ def fit(
     s = init if init is not None else AdmmState.zeros(n, t_len, p, eta)
     if s.pi.shape != (n, t_len) or s.theta.shape != (p,):
         raise DimensionMismatch("warm-start state does not match the panel")
+    if s.eta is not None and s.eta != eta:
+        # The scaled duals are the true duals over eta: keep the true duals.
+        ratio = s.eta / eta
+        s.u_v, s.u_w, s.u_pi, s.u_theta = (
+            s.u_v * ratio, s.u_w * ratio, s.u_pi * ratio, s.u_theta * ratio)
     s.eta = eta
     if config.fix_pi_zero:
         s.pi = np.zeros((n, t_len))

@@ -8,6 +8,7 @@ dominating rank term.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -113,15 +114,22 @@ def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None)
 def grid_path(data: PanelData, nu1_values, nu2_values, config: SolverConfig):
     """Yield (config, warm-start state) for every grid point, in fit order.
 
-    Each nu1 column starts cold from a fresh AdmmState, so columns could run
-    in parallel.  Down a column the same state is handed on along the given
-    (descending) nu2 values; passing it to `fit` as init warm starts each fit
-    from the one before.
+    Fit each point, passing its state to `fit` as init, before drawing the
+    next: `fit` advances the state in place.  Down a column the same state
+    is handed on along the given (descending) nu2 values, so each fit starts
+    from the one above it.  Only the first column's top point starts cold.
+    Each later column's top point starts from a copy of the previous
+    column's top state, taken as the point after that top is drawn, so no
+    descent reaches it.  Below the top row a column depends only on its own
+    top state.
     """
+    top = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
     for nu1 in nu1_values:
-        state = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
-        for nu2 in nu2_values:
+        state = top
+        for k, nu2 in enumerate(nu2_values):
             yield replace(config, nu1=float(nu1), nu2=float(nu2)), state
+            if k == 0:
+                top = copy.deepcopy(state)
 
 
 def bic_pick(points):

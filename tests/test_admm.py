@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,25 @@ class TestFit:
         warm = fit(data, SolverConfig(tau=0.5, nu1=0.02, nu2=0.02, **common), scales,
                    init=state)
         cold = fit(data, SolverConfig(tau=0.5, nu1=0.02, nu2=0.02, **common), scales)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-4)
+
+    def test_warm_start_at_another_eta_rescales_the_duals(self):
+        # a converged state is a fixed point at any eta once its scaled duals
+        # are read as true duals over the old eta; read unscaled, it is not
+        inst = generate(DesignSpec("D1", 30, 40, 3, seed=21))
+        base = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=20000)
+        state = AdmmState.zeros(30, 40, 3, None)
+        fit(inst.data, base, init=state)
+        cfg = replace(base, eta=4.0 * state.eta)
+        unscaled = copy.deepcopy(state)
+        unscaled.eta = None
+        warm = fit(inst.data, cfg, init=state)
+        misread = fit(inst.data, cfg, init=unscaled)
+        cold = fit(inst.data, cfg)
+        assert state.eta == cfg.eta
+        assert warm.converged and warm.iterations <= 2
+        assert misread.iterations > 50
+        assert cold.iterations > 1000
         assert warm.objective == pytest.approx(cold.objective, rel=1e-4)
 
     def test_result_does_not_alias_warm_start_state(self):

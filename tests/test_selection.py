@@ -1,7 +1,11 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from quantfactor import (
+    AdmmState,
     AllFitsFailed,
     PanelData,
     QuantileFit,
@@ -11,9 +15,11 @@ from quantfactor import (
     compute_column_scales,
     estimate_rank,
     estimate_sparsity,
+    fit,
     grid_search,
     pinball_loss,
 )
+from quantfactor.selection import grid_path
 from quantfactor.simulate import DesignSpec, generate
 
 
@@ -161,9 +167,85 @@ class TestGridSearch:
         )
         tight = self.config(max_iter=60000, tol_abs=1e-10, tol_rel=1e-9)
         report = grid_search(data, grid, tight, scales=scales)
-        from quantfactor import fit
         cfg = self.config(nu1=report.best_nu1, nu2=report.best_nu2,
                           max_iter=60000, tol_abs=1e-10, tol_rel=1e-9)
         direct = fit(data, cfg, scales)
         # warm and cold starts agree to the optimum, not bit-for-bit
         assert report.best_fit.objective == pytest.approx(direct.objective, rel=1e-4)
+
+
+def assert_states_equal(a, b):
+    for name in ("theta", "pi", "v", "w", "z_theta", "z_pi",
+                 "u_v", "u_w", "u_pi", "u_theta"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert a.eta == b.eta
+
+
+class TestGridPath:
+    NU1 = np.array([1e-2, 1e-3, 1e-4])
+    NU2 = np.array([1e-1, 1e-2])
+
+    def setup_method(self):
+        self.data = generate(DesignSpec("D1", 8, 9, 2, seed=5)).data
+        self.scales = compute_column_scales(self.data)
+        self.config = SolverConfig(tau=0.5, max_iter=20000)
+
+    def walk(self, config, nu1_values=NU1, nu2_values=NU2, on_point=None):
+        """Fit every grid_path point; on_point(cfg, state) runs before each fit."""
+        results = []
+        for cfg, state in grid_path(self.data, nu1_values, nu2_values, config):
+            if on_point is not None:
+                on_point(cfg, state)
+            results.append(fit(self.data, cfg, self.scales, init=state))
+        return results
+
+    def test_first_column_is_a_cold_walk_down_nu2(self):
+        results = self.walk(self.config)
+        state = AdmmState.zeros(8, 9, 2, None)
+        for k, nu2 in enumerate(self.NU2):
+            cfg = replace(self.config, nu1=float(self.NU1[0]), nu2=float(nu2))
+            cold = fit(self.data, cfg, self.scales, init=state)
+            np.testing.assert_array_equal(results[k].theta, cold.theta)
+            np.testing.assert_array_equal(results[k].pi, cold.pi)
+            assert results[k].iterations == cold.iterations
+
+    def test_top_point_starts_from_previous_top_fit(self):
+        starts, tops_after, states = [], [], []
+        n2 = len(self.NU2)
+
+        def on_point(cfg, state):
+            k = len(states)
+            if k % n2 == 1:
+                # the previous point was a top fit and this descent continues it
+                tops_after.append(copy.deepcopy(state))
+            if k % n2 == 0:
+                starts.append(copy.deepcopy(state))
+            states.append(state)
+
+        self.walk(self.config, on_point=on_point)
+        assert not starts[0].pi.any() and not starts[0].u_v.any()
+        for col in range(1, len(self.NU1)):
+            assert_states_equal(starts[col], tops_after[col - 1])
+            # the previous column's descent ran on its own state
+            assert states[col * n2] is not states[(col - 1) * n2]
+            assert not np.array_equal(states[col * n2 - 1].u_v, starts[col].u_v)
+
+    def test_every_point_near_its_cold_optimum(self):
+        tight = SolverConfig(tau=0.5, max_iter=60000, tol_abs=1e-8, tol_rel=1e-7)
+        results = self.walk(tight)
+        points = [(a, b) for a in self.NU1 for b in self.NU2]
+        for (nu1, nu2), warm in zip(points, results):
+            cold = fit(self.data, replace(tight, nu1=nu1, nu2=nu2), self.scales)
+            assert warm.converged and cold.converged
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-4), (nu1, nu2)
+
+    def test_fix_pi_zero_path_chains_along_nu1(self):
+        config = SolverConfig(tau=0.5, max_iter=20000, fix_pi_zero=True)
+        starts = []
+        results = self.walk(config, nu2_values=np.array([0.0]),
+                            on_point=lambda cfg, state: starts.append(copy.deepcopy(state)))
+        assert len(results) == len(self.NU1)
+        assert not starts[0].z_theta.any()
+        for prev, start in zip(results, starts[1:]):
+            np.testing.assert_array_equal(start.z_theta, prev.theta)
+            assert not start.pi.any()
