@@ -166,7 +166,6 @@ def fit(
     scales: ColumnScales | None = None,
     init: AdmmState | None = None,
     gram: GramCache | None = None,
-    callback=None,
 ) -> QuantileFit:
     """Solve the penalized panel regression at one (nu1, nu2) pair.
 
@@ -189,8 +188,6 @@ def fit(
         and differs from this fit's has its scaled duals rescaled by old/new.
     gram : GramCache, optional
         Shared factorization of (sum X X' + I); computed when omitted.
-    callback : callable, optional
-        Called as callback(sweep, primal, dual) after every sweep.
 
     Returns
     -------
@@ -203,7 +200,7 @@ def fit(
     ValueError, DimensionMismatch
         fix_pi_zero with p = 0; scales or init that do not match the panel.
     NonFiniteIterate
-        A sweep's primal or dual residual is NaN or inf; callback never sees that sweep.
+        A sweep's primal or dual residual is NaN or inf.
     NonFiniteInput
         A warm start holds NaN or inf where the V prox or SVT reads it.
     """
@@ -242,8 +239,8 @@ def fit(
     squared = config.loss == "squared"
     fix_pi = config.fix_pi_zero
     svals = np.zeros(min(n, t_len))
-    # Each sweep's SVT takes the previous sweep's rank as its hint; the first
-    # has none and runs the dense SVD.
+    # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
+    # its eigensolver; the first has none.
     rank_hint = None
 
     converged = False
@@ -293,8 +290,6 @@ def fit(
             primal, dual = _residuals(s, y, xth, w_prev, z_pi_prev, z_theta_prev)
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            if callback is not None:
-                callback(sweep, primal, dual)
             eps_primal, eps_dual = _tolerances(s, y, xth, config)
             if primal <= eps_primal and dual <= eps_dual:
                 converged = True

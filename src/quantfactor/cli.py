@@ -32,15 +32,19 @@ from .simulate import DESIGNS, DesignSpec, generate
 from .metrics import run_monte_carlo
 
 
+def _str_list(text: str):
+    items = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty comma list: {text!r}")
+    return items
+
+
 def _float_list(text: str):
+    items = _str_list(text)
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in items)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
-
-
-def _str_list(text: str):
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _add_solver_flags(sub):

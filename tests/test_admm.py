@@ -11,6 +11,7 @@ from quantfactor import (
     NonFiniteIterate,
     PanelData,
     SolverConfig,
+    SvtResult,
     compute_column_scales,
     fit,
     penalized_objective,
@@ -26,6 +27,23 @@ def random_panel(rng, n, t_len, p):
     x = rng.standard_normal((n, t_len, p))
     y = rng.standard_normal((n, t_len))
     return PanelData(y, x)
+
+
+def one_sweep_fits(data, config, state, max_sweeps, scales=None):
+    """Advance state one sweep per fit; stop after the first converged fit."""
+    one = replace(config, max_iter=1)
+    gram = GramCache(data)
+    fits = []
+    while len(fits) < max_sweeps and not (fits and fits[-1].converged):
+        fits.append(fit(data, one, scales, init=state, gram=gram))
+    return fits
+
+
+def dense_only_svt(m, threshold, rank_hint=None):
+    """SVT from numpy's full SVD on every call, whatever the threshold or hint."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    s_after = np.maximum(s - threshold, 0.0)
+    return SvtResult((u * s_after) @ vt, s, s_after)
 
 
 class TestSolveZwJoint:
@@ -185,22 +203,21 @@ class TestFit:
     def test_monotone_primal_feasibility_near_convergence(self):
         inst = generate(DesignSpec("D1", 15, 15, 2, seed=9))
         scales = compute_column_scales(inst.data)
-        hist = []
-        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=20000)
-        f = fit(inst.data, cfg, scales, callback=lambda k, pr, du: hist.append(pr))
-        assert f.converged and len(hist) > 60
-        tail = hist[-50:]
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2)
+        state = AdmmState.zeros(15, 15, 2, None)
+        fits = one_sweep_fits(inst.data, cfg, state, 20000, scales)
+        assert fits[-1].converged and len(fits) > 60
+        tail = [f.primal_residual for f in fits[-50:]]
         for prev, cur in zip(tail, tail[1:]):
             assert cur <= 1.1 * prev
 
     def test_iterates_stay_finite(self):
         inst = generate(DesignSpec("D1", 8, 8, 2, seed=13))
         scales = compute_column_scales(inst.data)
-        states = []
-        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=300)
-        fit(inst.data, cfg, scales,
-            callback=lambda k, pr, du: states.append((pr, du)))
-        assert all(np.isfinite(pr) and np.isfinite(du) for pr, du in states)
+        cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2)
+        fits = one_sweep_fits(inst.data, cfg, AdmmState.zeros(8, 8, 2, None), 300, scales)
+        assert all(np.isfinite(f.primal_residual) and np.isfinite(f.dual_residual)
+                   for f in fits)
 
     def test_default_eta_is_ten_over_nt(self):
         inst = generate(DesignSpec("D1", 8, 9, 2, seed=15))
@@ -215,8 +232,9 @@ class TestFit:
 
     @pytest.mark.parametrize("nu2, rank", [(1e-2, 1), (1e-3, 30)])
     def test_rank_hint_leaves_the_fit_unchanged(self, monkeypatch, nu2, rank):
-        # fit hints each SVT with the last sweep's rank; dropping the hint
-        # runs the dense SVD on every sweep, and the fit must not notice
+        # fit hints each SVT with the last sweep's rank, which picks only the
+        # eigensolver; a reference SVT through numpy's full SVD on every
+        # sweep must give the same fit
         inst = generate(DesignSpec("D1", 30, 40, 3, seed=21))
         cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=nu2)
         svt = admm.singular_value_threshold
@@ -228,8 +246,7 @@ class TestFit:
 
         monkeypatch.setattr(admm, "singular_value_threshold", recording)
         hinted = fit(inst.data, cfg)
-        monkeypatch.setattr(admm, "singular_value_threshold",
-                            lambda m, threshold, rank_hint=None: svt(m, threshold))
+        monkeypatch.setattr(admm, "singular_value_threshold", dense_only_svt)
         dense = fit(inst.data, cfg)
         assert hints[0] is None and len(hints) == hinted.iterations
         assert hints.count(rank) > hinted.iterations // 2
@@ -247,15 +264,13 @@ class TestFit:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_warm_start_raises_before_callback(self, bad):
+        # a one-sweep fit: the error comes in the first sweep, not after it
         rng = np.random.default_rng(43)
         data = random_panel(rng, 3, 4, 2)
         state = AdmmState.zeros(3, 4, 2, 1.0)
         state.u_theta[0] = bad
-        sweeps = []
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
-            fit(data, SolverConfig(), init=state,
-                callback=lambda k, pr, du: sweeps.append(k))
-        assert sweeps == []
+            fit(data, SolverConfig(max_iter=1), init=state)
 
     def test_fix_pi_zero_without_covariates_rejected(self):
         data = PanelData.without_covariates(np.ones((2, 2)))
@@ -297,10 +312,8 @@ class TestAdmmResiduals:
     def test_first_sweep_from_zero_is_infeasible(self):
         inst = generate(DesignSpec("D1", 5, 5, 2, seed=23))
         scales = compute_column_scales(inst.data)
-        hist = []
         cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, max_iter=1)
-        fit(inst.data, cfg, scales, callback=lambda k, pr, du: hist.append(pr))
-        assert hist[0] > 0
+        assert fit(inst.data, cfg, scales).primal_residual > 0
 
 
 class TestFitNoCovariates:
@@ -348,15 +361,18 @@ class TestFitNoCovariates:
         np.testing.assert_allclose(f.pi, np.zeros((2, 2)), atol=1e-10)
 
     def test_init_and_callback_are_honoured(self):
+        # one-sweep fits that each resume from the state the last one left
+        # reach the whole fit's optimum
         rng = np.random.default_rng(41)
-        y = rng.standard_normal((5, 6))
+        data = PanelData.without_covariates(rng.standard_normal((5, 6)))
         cfg = SolverConfig(tau=0.5, nu2=0.05, max_iter=20000)
         state = AdmmState.zeros(5, 6, 0, cfg.eta)
-        sweeps = []
-        f = fit(PanelData.without_covariates(y), cfg, init=state,
-                callback=lambda k, pr, du: sweeps.append(k))
-        assert sweeps == list(range(1, f.iterations + 1))
-        np.testing.assert_array_equal(state.pi, f.pi)
+        fits = one_sweep_fits(data, cfg, state, cfg.max_iter)
+        whole = fit(data, cfg)
+        assert all(f.iterations == 1 for f in fits) and fits[-1].converged
+        assert len(fits) == whole.iterations
+        np.testing.assert_array_equal(state.pi, fits[-1].pi)
+        assert fits[-1].objective == pytest.approx(whole.objective, rel=1e-9)
 
     def test_rejects_non_finite(self):
         y = np.zeros((2, 2))

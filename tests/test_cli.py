@@ -229,6 +229,17 @@ class TestErrorPaths:
             "error:NonFiniteIterate: ADMM iterate became non-finite; try a different eta"
         )
 
+    @pytest.mark.parametrize("command, flag, value", [("fit", "--tau", ""),
+                                                      ("fit", "--tau", ","),
+                                                      ("bench", "--methods", "")])
+    def test_empty_comma_list_exits_2(self, tmp_path, capsys, command, flag, value):
+        panel = simulate_small(tmp_path) if command == "fit" else None
+        out = tmp_path / "out"
+        extra = ["--panel", panel] if panel else ["--n", 10, "--p", 2, "--T", 12]
+        assert run(command, *extra, flag, value, "--out", out) == 2
+        assert "empty comma list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert run() == 2
         assert run("fit") == 2  # --panel is required

@@ -219,7 +219,7 @@ def dense_svt(m, thr):
 
 class TestPartialSvt:
     # criterion-2-style Gaussian matrices, wide and tall; min(n, T) = 40 and 30
-    # put the partial path's cut-over at rank 4 and 3
+    # put the rank hint's cut-over between LAPACK drivers at rank 4 and 3
     SHAPES = [(40, 70), (75, 30)]
 
     @staticmethod
@@ -236,7 +236,7 @@ class TestPartialSvt:
         return m, thr
 
     def check(self, m, thr, hint, kept):
-        """Agreement with the dense SVT, and the path the cut-over calls for."""
+        """Agreement with the dense SVT, and the route the exactness cut calls for."""
         res = singular_value_threshold(m, thr, hint)
         want, s = dense_svt(m, thr)
         scale = max(1.0, s[0])
@@ -245,8 +245,7 @@ class TestPartialSvt:
         assert np.abs(res.matrix - want).max() <= 1e-10 * scale
         np.testing.assert_allclose(res.singular_values_after, np.maximum(s - thr, 0.0),
                                    rtol=0, atol=1e-10 * scale)
-        cap = self.cut_over(m.shape)
-        if thr > 0 and hint is not None and hint <= cap and kept <= cap:
+        if thr * thr > prox.PARTIAL_MIN_THRESHOLD_SQ * np.sum(m * m):
             np.testing.assert_allclose(res.singular_values_before[:kept], s[:kept],
                                        rtol=0, atol=1e-10 * scale)
             assert not res.singular_values_before[kept:].any()
@@ -267,7 +266,8 @@ class TestPartialSvt:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rank_above_cut_over_falls_back(self, shape):
-        # a hint the matrix outgrew: the partial path finds too many pairs
+        # a hint the matrix outgrew: the solve bounded by value returns more
+        # pairs than the cut-over, and all of them are kept
         kept = self.cut_over(shape) + 3
         m, thr = self.case(shape, kept, seed=7)
         for hint in (0, 1):
@@ -302,12 +302,65 @@ class TestPartialSvt:
         assert np.count_nonzero(res.singular_values_after) == 2
 
     @pytest.mark.parametrize("owner, name, hint", [(prox, "eigh", 1),
-                                                   (np.linalg, "svd", None)])
+                                                   (np.linalg, "svd", None),
+                                                   (prox, "eigh", None)])
     def test_lapack_failure_maps_to_svd_failure(self, monkeypatch, owner, name, hint):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
         m, thr = self.case((40, 70), 1, seed=10)
+        if name == "svd":
+            thr = 0.0  # only a threshold below the exactness cut reaches the SVD
         monkeypatch.setattr(owner, name, fail)
         with pytest.raises(SvdFailure):
+            singular_value_threshold(m, thr, hint)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("hint", [None, 0, 1, 1000])
+    def test_full_rank_agrees_with_dense(self, shape, hint):
+        m, _ = self.case(shape, 1, seed=11)
+        s = np.linalg.svd(m, compute_uv=False)
+        self.check(m, 0.5 * s[-1], hint, min(shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("side", [1.01, 0.99])
+    @pytest.mark.parametrize("hint", [None, 1])
+    def test_threshold_at_the_exactness_cut(self, monkeypatch, shape, side, hint):
+        # just above the cut the Gram route runs at its least accurate
+        # threshold; just below it the dense SVD takes over
+        m, _ = self.case(shape, 1, seed=12)
+        thr = side * np.sqrt(prox.PARTIAL_MIN_THRESHOLD_SQ * np.sum(m * m))
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        singular_value_threshold(m, thr, hint)
+        monkeypatch.undo()
+        assert len(calls) == (side < 1)
+        self.check(m, thr, hint, min(shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("hint", [None, 0, 5])
+    def test_rank_deficient_input(self, shape, hint):
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((shape[0], 5)) @ rng.standard_normal((5, shape[1]))
+        s = np.linalg.svd(m, compute_uv=False)
+        res = self.check(m, 1e-3 * s[0], hint, 5)
+        assert np.count_nonzero(res.singular_values_after) == 5
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 4, 1000])
+    def test_gram_admissible_input_never_reaches_the_dense_svd(self, monkeypatch, shape,
+                                                                hint):
+        # the old partial path reran the dense SVD after its eigensolve when a
+        # small hint found too many pairs, and no hint went straight to it
+        cases = [(np.zeros(shape), 0.5)]
+        cases += [self.case(shape, kept, seed=14 + kept) for kept in (0, 1, 3, 10)]
+        m, _ = self.case(shape, 1, seed=15)
+        cases.append((m, 0.5 * np.linalg.svd(m, compute_uv=False)[-1]))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("dense SVD reached above the exactness cut")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        for m, thr in cases:
+            assert thr * thr > prox.PARTIAL_MIN_THRESHOLD_SQ * np.sum(m * m)
             singular_value_threshold(m, thr, hint)
