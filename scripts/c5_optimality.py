@@ -77,8 +77,7 @@ def main():
                              inst.data.x @ tight.theta + tight.pi)
 
         l1qr = oracle(grid_errors(
-            inst, TuningGrid(grid.nu1_values, np.array([1.0])),
-            replace(CONFIG, fix_pi_zero=True), scales, gram))[2]
+            inst, grid, replace(CONFIG, fix_pi_zero=True), scales, gram))[2]
         shrunk = oracle(grid_errors(
             inst, TuningGrid(grid.nu1_values, np.array([2e-3])), CONFIG,
             scales, gram))[2]

@@ -2,11 +2,12 @@
 
 Runs simulate (D1, D4), fit (two taus, --fix-pi-zero, --loss squared, a
 rank-zero fit, a missing panel), tune (explicit grid; default grid with
---c1), factors, bench (three methods with --oracle) and bench --max-iter 1
-through `cli_main`, in a temporary working directory with relative --out and
---panel paths, so the summary.json config echo is the same wherever the
-script runs.  It prints the exit code of each call, then
-"sha256  relative/path" for every file written.
+--c1; --fix-pi-zero), factors, bench (three methods with --oracle), bench
+--max-iter 1 and bench --loss squared (a usage error) through `cli_main`, in
+a temporary working directory with relative --out and --panel paths, so the
+summary.json config echo is the same wherever the script runs.  It prints
+the exit code of each call, then "sha256  relative/path" for every file
+written.
 
 Two source trees write the same bytes when their digests agree, e.g. a parent
 checkout against this one, run from the repository root:
@@ -39,11 +40,15 @@ CALLS = [
      "--grid-nu2", "1e-2,1e-3", "--out", "tune_grid"],
     ["tune", "--panel", "sim4/panel.csv", "--c1", "0.5", "--max-iter", "500",
      "--out", "tune_default"],
+    ["tune", "--panel", "sim1/panel.csv", "--grid-nu1", "1e-3,1e-4", "--grid-nu2",
+     "1e-2,1e-3", "--fix-pi-zero", "--out", "tune_l1qr"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "2", "--out", "factors"],
     ["bench", *BENCH, "--methods", "l1nnqr,l1qr,l1nnls", "--oracle",
      "--grid-nu1", "1e-3,1e-4", "--grid-nu2", "1e-2,1e-3", "--out", "bench_oracle"],
     ["bench", *BENCH, "--max-iter", "1", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
      "--out", "bench_fail"],
+    ["bench", *BENCH, "--loss", "squared", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
+     "--out", "bench_loss"],
 ]
 
 

@@ -117,47 +117,23 @@ def solve_zw_joint(a_tilde, b_tilde, c_tilde):
     return z, w
 
 
-def _residuals(state: AdmmState, y: np.ndarray, xth: np.ndarray,
-               w_prev: np.ndarray, z_pi_prev: np.ndarray, z_theta_prev: np.ndarray):
-    """Primal and dual residual norms of the current state.
+def _tolerances(state: AdmmState, xth_minus_y, abs_primal, abs_dual, tol_rel):
+    """Boyd-style combined absolute/relative thresholds for both residuals.
 
-    primal: Frobenius norm of the stacked constraint violations
-            (V - W, W - Y + X theta + Z_Pi, Z_Pi - Pi, Z_theta - theta).
-    dual:   eta times the norm of the change in (W, Z_Pi, Z_theta) since the
-            previous sweep.
+    abs_primal and abs_dual are the fit's tol_abs * sqrt(3nT + p) and
+    tol_abs * sqrt(2nT + p); xth_minus_y is the sweep's X theta - Y.
     """
-    r1 = state.v - state.w
-    r2 = state.w - y + xth + state.z_pi
-    r3 = state.z_pi - state.pi
-    r4 = state.z_theta - state.theta
-    primal = np.sqrt(
-        np.sum(r1 ** 2) + np.sum(r2 ** 2) + np.sum(r3 ** 2) + np.sum(r4 ** 2)
-    )
-    dual = state.eta * np.sqrt(
-        np.sum((state.w - w_prev) ** 2)
-        + np.sum((state.z_pi - z_pi_prev) ** 2)
-        + np.sum((state.z_theta - z_theta_prev) ** 2)
-    )
-    return float(primal), float(dual)
-
-
-def _tolerances(state: AdmmState, y, xth, config: SolverConfig):
-    """Boyd-style combined absolute/relative thresholds for both residuals."""
-    nt = y.size
-    p = state.theta.size
     primal_scale = max(
         np.linalg.norm(state.v), np.linalg.norm(state.w),
         np.linalg.norm(state.z_pi), np.linalg.norm(state.pi),
         np.linalg.norm(state.z_theta), np.linalg.norm(state.theta),
-        np.linalg.norm(y - xth),
+        np.linalg.norm(xth_minus_y),
     )
     dual_scale = state.eta * max(
         np.linalg.norm(state.u_v), np.linalg.norm(state.u_w),
         np.linalg.norm(state.u_pi), np.linalg.norm(state.u_theta),
     )
-    eps_primal = config.tol_abs * np.sqrt(3 * nt + p) + config.tol_rel * primal_scale
-    eps_dual = config.tol_abs * np.sqrt(2 * nt + p) + config.tol_rel * dual_scale
-    return eps_primal, eps_dual
+    return abs_primal + tol_rel * primal_scale, abs_dual + tol_rel * dual_scale
 
 
 def fit(
@@ -193,7 +169,9 @@ def fit(
     -------
     QuantileFit with theta taken from the soft-threshold iterate and pi from
     the singular-value-threshold iterate, so support and rank counts reflect
-    exact zeros.
+    exact zeros.  primal_residual is the norm of the last sweep's four
+    constraint violations, the step its scaled duals took; dual_residual is
+    eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
 
     Raises
     ------
@@ -238,6 +216,8 @@ def fit(
     svt_threshold = config.nu2 / eta
     squared = config.loss == "squared"
     fix_pi = config.fix_pi_zero
+    abs_primal = config.tol_abs * np.sqrt(3 * nt + p)
+    abs_dual = config.tol_abs * np.sqrt(2 * nt + p)
     svals = np.zeros(min(n, t_len))
     # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
     # its eigensolver; the first has none.
@@ -271,7 +251,8 @@ def fit(
 
             # (Z_Pi, W): joint exact minimizer; with Pi pinned only W moves.
             xth = x @ s.theta
-            a_tilde = xth - y + s.u_w
+            xth_minus_y = xth - y
+            a_tilde = xth_minus_y + s.u_w
             b_tilde = -s.v - s.u_v
             if fix_pi:
                 s.w = -(a_tilde + b_tilde) / 2.0
@@ -279,18 +260,27 @@ def fit(
                 c_tilde = -s.pi + s.u_pi
                 s.z_pi, s.w = solve_zw_joint(a_tilde, b_tilde, c_tilde)
 
-            # Scaled dual ascent.
-            s.u_v = s.u_v + (s.v - s.w)
-            s.u_w = s.u_w + (s.w - y + xth + s.z_pi)
-            if not fix_pi:
-                s.u_pi = s.u_pi + (s.z_pi - s.pi)
-            s.u_theta = s.u_theta + (s.z_theta - s.theta)
+            # Constraint violations, each formed once: the scaled duals step by
+            # them and the primal residual is their norm.  Pinned, U_Pi stays 0.
+            r_v = s.v - s.w
+            r_w = s.w - y + xth + s.z_pi
+            r_pi = s.z_pi - s.pi
+            r_theta = s.z_theta - s.theta
+            s.u_v = s.u_v + r_v
+            s.u_w = s.u_w + r_w
+            s.u_pi = s.u_pi + r_pi
+            s.u_theta = s.u_theta + r_theta
 
             # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.
-            primal, dual = _residuals(s, y, xth, w_prev, z_pi_prev, z_theta_prev)
+            primal = float(np.sqrt(np.sum(r_v ** 2) + np.sum(r_w ** 2)
+                                   + np.sum(r_pi ** 2) + np.sum(r_theta ** 2)))
+            dual = float(eta * np.sqrt(np.sum((s.w - w_prev) ** 2)
+                                       + np.sum((s.z_pi - z_pi_prev) ** 2)
+                                       + np.sum((s.z_theta - z_theta_prev) ** 2)))
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            eps_primal, eps_dual = _tolerances(s, y, xth, config)
+            eps_primal, eps_dual = _tolerances(s, xth_minus_y, abs_primal, abs_dual,
+                                               config.tol_rel)
             if primal <= eps_primal and dual <= eps_dual:
                 converged = True
                 break

@@ -47,14 +47,15 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
-def _add_solver_flags(sub):
+def _add_solver_flags(sub, model_flags=True):
     d = SolverConfig()
     sub.add_argument("--eta", type=float, default=d.eta)
     sub.add_argument("--max-iter", type=int, default=d.max_iter)
     sub.add_argument("--tol-abs", type=float, default=d.tol_abs)
     sub.add_argument("--tol-rel", type=float, default=d.tol_rel)
-    sub.add_argument("--loss", choices=LOSSES, default=d.loss)
-    sub.add_argument("--fix-pi-zero", action="store_true", default=d.fix_pi_zero)
+    if model_flags:  # bench's --methods sets both
+        sub.add_argument("--loss", choices=LOSSES, default=d.loss)
+        sub.add_argument("--fix-pi-zero", action="store_true", default=d.fix_pi_zero)
 
 
 def _add_design_flags(sub):
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid-nu2", type=_float_list, default=None)
     p_bench.add_argument("--c1", type=float, default=None)
     p_bench.add_argument("--oracle", action="store_true")
-    _add_solver_flags(p_bench)
+    _add_solver_flags(p_bench, model_flags=False)
     p_bench.add_argument("--out", default=".")
 
     return parser

@@ -98,20 +98,21 @@ def evaluate_rep(
     Both tunings look only at converged fits.  Oracle tuning takes the
     minimum of each metric separately over them; the BIC variant reports the
     metrics of the fit selection.bic_pick takes, and raises AllFitsFailed
-    when no fit converged.  A method with Pi pinned at zero walks the nu1 grid
-    at nu2 = 0.
+    when no fit converged.  The errors are scored against the median surface,
+    so base_config.tau must be 0.5.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    if base_config.tau != 0.5:
+        raise ValueError(f"tau {base_config.tau}: errors are scored at the median only")
     data = inst.data
     scales = compute_column_scales(data)
     gram = GramCache(data)
     cfg0 = _method_config(method, base_config)
-    nu2_values = np.array([0.0]) if cfg0.fix_pi_zero else grid.nu2_values
     converged_errs = []
 
     def points():
-        for cfg, state in grid_path(data, grid.nu1_values, nu2_values, cfg0):
+        for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, cfg0):
             result = fit(data, cfg, scales=scales, init=state, gram=gram)
             est_surface = data.x @ result.theta + result.pi
             errs = (theta_error_scaled(result.theta, inst.theta_true),

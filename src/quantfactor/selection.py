@@ -121,8 +121,10 @@ def grid_path(data: PanelData, nu1_values, nu2_values, config: SolverConfig):
     Each later column's top point starts from a copy of the previous
     column's top state, taken as the point after that top is drawn, so no
     descent reaches it.  Below the top row a column depends only on its own
-    top state.
+    top state.  With config.fix_pi_zero, nu2 has no effect, so the walk
+    takes nu2 = 0 only: one point per nu1.
     """
+    nu2_values = (0.0,) if config.fix_pi_zero else nu2_values
     top = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
     for nu1 in nu1_values:
         state = top

@@ -316,6 +316,58 @@ class TestAdmmResiduals:
         assert fit(inst.data, cfg, scales).primal_residual > 0
 
 
+class TestResidualDefinitions:
+    """A one-sweep fit's residuals, recomputed from the state it leaves."""
+
+    PANELS = {"p>0": (2, False), "fix_pi_zero": (2, True), "p=0": (0, False)}
+
+    def stepped(self, name, sweeps=25):
+        """(data, config, state before the last sweep, last fit, state after)."""
+        p, pinned = self.PANELS[name]
+        data = random_panel(np.random.default_rng(42), 6, 7, p)
+        # at this nu1 the soft threshold zeroes one coefficient, so that
+        # Z_theta - theta is not zero
+        cfg = SolverConfig(tau=0.3, nu1=3e-2, nu2=2e-2, fix_pi_zero=pinned)
+        state = AdmmState.zeros(6, 7, p, None)
+        fit(data, replace(cfg, max_iter=sweeps), init=state)
+        before = copy.deepcopy(state)
+        last = fit(data, replace(cfg, max_iter=1), init=state)
+        return data, cfg, before, last, state
+
+    @pytest.mark.parametrize("name", list(PANELS))
+    def test_primal_residual_is_the_dual_step(self, name):
+        data, _, before, last, s = self.stepped(name)
+        assert last.iterations == 1 and not last.converged
+        xth = data.x @ s.theta
+        violations = {"u_v": s.v - s.w, "u_w": s.w - data.y + xth + s.z_pi,
+                      "u_pi": s.z_pi - s.pi, "u_theta": s.z_theta - s.theta}
+        assert violations["u_theta"].any() == (data.p > 0)
+        primal = np.sqrt(sum(np.sum(r ** 2) for r in violations.values()))
+        assert last.primal_residual == pytest.approx(primal, rel=1e-12)
+        assert last.primal_residual > 0
+        for dual, r in violations.items():
+            step = getattr(s, dual) - getattr(before, dual)
+            np.testing.assert_allclose(step, r, rtol=1e-9, atol=1e-12, err_msg=dual)
+
+    @pytest.mark.parametrize("name", list(PANELS))
+    def test_dual_residual_is_eta_times_the_change(self, name):
+        _, _, before, last, s = self.stepped(name)
+        change = (np.sum((s.w - before.w) ** 2) + np.sum((s.z_pi - before.z_pi) ** 2)
+                  + np.sum((s.z_theta - before.z_theta) ** 2))
+        assert s.eta == before.eta
+        assert last.dual_residual == pytest.approx(s.eta * np.sqrt(change), rel=1e-12)
+        assert last.dual_residual > 0
+
+    def test_pinned_fit_keeps_the_pi_blocks_zero(self):
+        # start from an unpinned state, whose Pi blocks are not zero
+        data, cfg, _, _, state = self.stepped("p>0")
+        assert state.pi.any() and state.z_pi.any() and state.u_pi.any()
+        f = fit(data, replace(cfg, fix_pi_zero=True, max_iter=50), init=state)
+        for name in ("pi", "z_pi", "u_pi"):
+            assert not getattr(state, name).any(), name
+        assert not f.pi.any() and f.rank_estimate == 0
+
+
 class TestFitNoCovariates:
     def test_zero_input(self):
         f = fit(PanelData.without_covariates(np.zeros((3, 3))), SolverConfig(nu2=0.1))

@@ -98,6 +98,17 @@ class TestTune:
         table = (out / "tau_0.5" / "selection.csv").read_text().strip().splitlines()
         assert len(table) == 1 + 4  # header plus full grid
 
+    def test_fix_pi_zero_walks_only_the_nu1_grid(self, tmp_path):
+        panel = simulate_small(tmp_path)
+        out = tmp_path / "tune"
+        assert run("tune", "--panel", panel, "--grid-nu1", "1e-3,1e-4",
+                   "--grid-nu2", "1e-2,1e-3", "--fix-pi-zero", "--eta", 10.0 / 144,
+                   "--max-iter", 20000, "--out", out) == 0
+        table = (out / "tau_0.5" / "selection.csv").read_text().strip().splitlines()
+        assert [row.split(",")[:2] for row in table[1:]] == [["0.001", "0"], ["0.0001", "0"]]
+        summary = json.loads((out / "tau_0.5" / "summary.json").read_text())
+        assert summary["nu2"] == 0.0
+
     def test_config_echo_lists_only_tune_flags(self, tmp_path):
         panel = simulate_small(tmp_path, n=10, t=6, p=4)
         out = tmp_path / "tune"
@@ -154,7 +165,7 @@ class TestBench:
             "seed": 3, "reps": 2, "methods": ["l1nnqr", "l1qr"],
             "grid_nu1": [0.001, 0.0001], "grid_nu2": [0.01], "c1": None,
             "oracle": True, "eta": 10.0 / 225, "max_iter": 20000, "tol_abs": 1e-06,
-            "tol_rel": 1e-05, "loss": "quantile", "fix_pi_zero": False,
+            "tol_rel": 1e-05,
         }
         assert (out / "bench_config.json").read_text() == json.dumps(
             expected, sort_keys=True, indent=2
@@ -163,6 +174,14 @@ class TestBench:
     def test_tau_flag_rejected(self, tmp_path):
         args = list(self.bench_args(tmp_path / "bench"))
         assert run(*args[:-2], "--tau", "0.1", *args[-2:]) == 2
+
+    @pytest.mark.parametrize("flags", [("--loss", "squared"), ("--fix-pi-zero",)])
+    def test_model_flags_rejected(self, tmp_path, flags):
+        # --methods sets the loss and fix_pi_zero of every fit
+        out = tmp_path / "bench"
+        args = list(self.bench_args(out))
+        assert run(*args[:-2], *flags, *args[-2:]) == 2
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"

@@ -176,6 +176,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(spec, ["pca"], self.grid(), reps=1)
 
+    @pytest.mark.parametrize("tau", [0.1, 0.9])
+    def test_tau_other_than_the_median_rejected(self, tau):
+        # the errors are scored against the true median surface
+        spec = DesignSpec("D1", 8, 8, 2, seed=24)
+        cfg = SolverConfig(tau=tau, eta=10.0 / 64.0)
+        with pytest.raises(ValueError, match="median"):
+            evaluate_rep(generate(spec), "l1nnqr", self.grid(), cfg)
+        with pytest.raises(ValueError, match="median"):
+            run_monte_carlo(spec, ["l1qr"], self.grid(), reps=1, base_config=cfg)
+
     def test_squared_loss_method_runs(self):
         spec = DesignSpec("D1", 8, 8, 2, seed=25)
         reports = run_monte_carlo(

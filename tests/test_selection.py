@@ -159,6 +159,15 @@ class TestGridSearch:
         with pytest.raises(AllFitsFailed):
             grid_search(data, grid, cfg)
 
+    def test_fix_pi_zero_walks_nu1_at_nu2_zero(self):
+        # with Pi pinned nu2 has no effect, so each nu1 is fitted once
+        grid = TuningGrid(nu1_values=np.array([1e-2, 1e-3]),
+                          nu2_values=np.array([1e-1, 1e-2, 1e-3]))
+        report = grid_search(self.small_instance(), grid, self.config(fix_pi_zero=True))
+        assert [(r.nu1, r.nu2) for r in report.table] == [(1e-2, 0.0), (1e-3, 0.0)]
+        assert report.best_nu2 == 0.0
+        assert all(r.rank == 0 for r in report.table)
+
     def test_best_fit_matches_best_pair(self):
         data = self.small_instance()
         scales = compute_column_scales(data)
