@@ -1,9 +1,10 @@
 """Scaled ADMM solver for pinball or squared loss with l1 and nuclear-norm penalties.
 
-The problem splits as V = W, W = Y - X theta - Z_Pi, Z_Pi = Pi, Z_theta = theta,
-with scaled duals U_V, U_W, U_Pi, U_theta.  Every block update is an exact prox
-or an exact minimizer in closed form: a pinball (or squared-loss) prox for V, a
-cached Gram solve for theta, singular value thresholding for Pi, soft
+The problem splits as V = W, W = Y - X theta - Z_Pi, Z_Pi = Pi, Z_theta = theta.  The
+(Z_Pi, W) step's first-order conditions leave the scaled duals of the middle two at
+U_V and -U_V, so U_V serves the first three and U_theta the fourth.  Every block update
+is an exact prox or an exact minimizer in closed form: a pinball (or squared-loss)
+prox for V, a cached Gram solve for theta, singular value thresholding for Pi, soft
 thresholding for Z_theta, and a 2x2 linear system solved jointly for (Z_Pi, W).
 A panel without covariates (p = 0) runs the same loop with empty theta blocks.
 """
@@ -35,6 +36,7 @@ ZERO_TOL = 1e-8
 class AdmmState:
     """All primal, slack, and scaled dual iterates of one solve.
 
+    u_v is the one dual of the three consensus constraints (module docstring).
     Mutable and confined to a single worker; pass a previous state back into
     fit() to warm start.  fit() sets eta to the penalty it used.
     """
@@ -46,8 +48,6 @@ class AdmmState:
     z_theta: np.ndarray
     z_pi: np.ndarray
     u_v: np.ndarray
-    u_w: np.ndarray
-    u_pi: np.ndarray
     u_theta: np.ndarray
     eta: float | None
 
@@ -55,10 +55,8 @@ class AdmmState:
     def zeros(cls, n: int, t_len: int, p: int, eta: float | None) -> "AdmmState":
         m = lambda: np.zeros((n, t_len))
         v = lambda: np.zeros(p)
-        return cls(
-            theta=v(), pi=m(), v=m(), w=m(), z_theta=v(), z_pi=m(),
-            u_v=m(), u_w=m(), u_pi=m(), u_theta=v(), eta=eta,
-        )
+        return cls(theta=v(), pi=m(), v=m(), w=m(), z_theta=v(), z_pi=m(), u_v=m(),
+                   u_theta=v(), eta=eta)
 
 
 class GramCache:
@@ -129,10 +127,7 @@ def _tolerances(state: AdmmState, xth_minus_y, abs_primal, abs_dual, tol_rel):
         np.linalg.norm(state.z_theta), np.linalg.norm(state.theta),
         np.linalg.norm(xth_minus_y),
     )
-    dual_scale = state.eta * max(
-        np.linalg.norm(state.u_v), np.linalg.norm(state.u_w),
-        np.linalg.norm(state.u_pi), np.linalg.norm(state.u_theta),
-    )
+    dual_scale = state.eta * max(np.linalg.norm(state.u_v), np.linalg.norm(state.u_theta))
     return abs_primal + tol_rel * primal_scale, abs_dual + tol_rel * dual_scale
 
 
@@ -169,9 +164,9 @@ def fit(
     -------
     QuantileFit with theta taken from the soft-threshold iterate and pi from
     the singular-value-threshold iterate, so support and rank counts reflect
-    exact zeros.  primal_residual is the norm of the last sweep's four
-    constraint violations, the step its scaled duals took; dual_residual is
-    eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
+    exact zeros.  primal_residual is the norm of the last sweep's four constraint
+    violations (the first equals the second and minus the third: one U_V step).
+    dual_residual is eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
 
     Raises
     ------
@@ -203,13 +198,11 @@ def fit(
     if s.eta is not None and s.eta != eta:
         # The scaled duals are the true duals over eta: keep the true duals.
         ratio = s.eta / eta
-        s.u_v, s.u_w, s.u_pi, s.u_theta = (
-            s.u_v * ratio, s.u_w * ratio, s.u_pi * ratio, s.u_theta * ratio)
+        s.u_v, s.u_theta = s.u_v * ratio, s.u_theta * ratio
     s.eta = eta
     if config.fix_pi_zero:
         s.pi = np.zeros((n, t_len))
         s.z_pi = np.zeros((n, t_len))
-        s.u_pi = np.zeros((n, t_len))
 
     kappa = 1.0 / (nt * eta)
     l1_thresholds = config.nu1 * scales.sigma_hat / eta
@@ -236,12 +229,12 @@ def fit(
             s.v = prox_squared(av, eta, nt) if squared else prox_pinball(av, config.tau, kappa)
 
             # theta: (Gram + I)^{-1} (-sum X A + Z_theta + U_theta), A from last sweep.
-            a = s.w + s.z_pi + s.u_w - y
+            a = s.w + s.z_pi + s.u_v - y
             s.theta = gram.solve(-gram.xt_dot(a) + s.z_theta + s.u_theta)
 
-            # Pi: singular value shrinkage of Z_Pi + U_Pi (skipped when pinned).
+            # Pi: singular value shrinkage of Z_Pi - U_V (skipped when pinned).
             if not fix_pi:
-                svt = singular_value_threshold(s.z_pi + s.u_pi, svt_threshold, rank_hint)
+                svt = singular_value_threshold(s.z_pi - s.u_v, svt_threshold, rank_hint)
                 s.pi = svt.matrix
                 svals = svt.singular_values_after
                 rank_hint = estimate_rank(svals)
@@ -252,23 +245,21 @@ def fit(
             # (Z_Pi, W): joint exact minimizer; with Pi pinned only W moves.
             xth = x @ s.theta
             xth_minus_y = xth - y
-            a_tilde = xth_minus_y + s.u_w
+            a_tilde = xth_minus_y + s.u_v
             b_tilde = -s.v - s.u_v
             if fix_pi:
                 s.w = -(a_tilde + b_tilde) / 2.0
             else:
-                c_tilde = -s.pi + s.u_pi
+                c_tilde = -s.pi - s.u_v
                 s.z_pi, s.w = solve_zw_joint(a_tilde, b_tilde, c_tilde)
 
-            # Constraint violations, each formed once: the scaled duals step by
-            # them and the primal residual is their norm.  Pinned, U_Pi stays 0.
+            # Constraint violations, each formed once; the primal residual is their norm.
+            # The (Z_Pi, W) step made r_w = r_v, r_pi = -r_v (pinned, 0): U_V serves all three.
             r_v = s.v - s.w
             r_w = s.w - y + xth + s.z_pi
             r_pi = s.z_pi - s.pi
             r_theta = s.z_theta - s.theta
             s.u_v = s.u_v + r_v
-            s.u_w = s.u_w + r_w
-            s.u_pi = s.u_pi + r_pi
             s.u_theta = s.u_theta + r_theta
 
             # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.

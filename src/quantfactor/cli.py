@@ -47,6 +47,16 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_flags(sub, model_flags=True):
     d = SolverConfig()
     sub.add_argument("--eta", type=float, default=d.eta)
@@ -98,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fac = subs.add_parser("factors", help="decompose a stored pi.csv")
     p_fac.add_argument("--pi", required=True, dest="pi_path")
-    p_fac.add_argument("--rank", type=int, required=True)
+    p_fac.add_argument("--rank", type=_positive_int, required=True)
     p_fac.add_argument("--out", default=".")
 
     p_bench = subs.add_parser("bench", help="Monte Carlo benchmark table")
@@ -146,28 +156,30 @@ def _write_one_fit(result, scales, out: str, echo: dict, tau: float, nu1, nu2):
 
 
 def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
+    # every tau's config is checked before any file is read or written
+    configs = [_solver_config(args, tau) for tau in args.taus]
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    for tau in args.taus:
-        result = admm.fit(data, _solver_config(args, tau), scales=scales)
-        _write_one_fit(result, scales, args.out, echo, tau, args.nu1, args.nu2)
+    for cfg in configs:
+        result = admm.fit(data, cfg, scales=scales)
+        _write_one_fit(result, scales, args.out, echo, cfg.tau, args.nu1, args.nu2)
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
+    configs = [_solver_config(args, tau) for tau in args.taus]
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
     grid = _grid(args)
-    for tau in args.taus:
-        report = grid_search(data, grid, _solver_config(args, tau), c1=args.c1,
-                             scales=scales)
+    for cfg in configs:
+        report = grid_search(data, grid, cfg, c1=args.c1, scales=scales)
         write_csv(
-            _tau_dir(args.out, tau) / "selection.csv",
+            _tau_dir(args.out, cfg.tau) / "selection.csv",
             ([row.nu1, row.nu2, row.bic, row.sparsity, row.rank, row.objective,
               int(row.converged)] for row in report.table),
             ["nu1", "nu2", "bic", "sparsity", "rank", "objective", "converged"],
         )
-        _write_one_fit(report.best_fit, scales, args.out, echo, tau,
+        _write_one_fit(report.best_fit, scales, args.out, echo, cfg.tau,
                        report.best_nu1, report.best_nu2)
     return 0
 
@@ -216,7 +228,8 @@ def _cmd_bench(args: argparse.Namespace, echo: dict) -> int:
     write_csv(
         out_dir / "per_rep.csv",
         ([rep.method, r, te, qe] for rep in reports
-         for r, (te, qe) in enumerate(zip(rep.per_rep_theta_err, rep.per_rep_quantile_err))),
+         for r, (te, qe) in enumerate(zip(rep.per_rep_theta_err, rep.per_rep_quantile_err))
+         if not np.isnan(te)),
         ["method", "rep", "theta_err_scaled", "quantile_err"],
     )
     write_json(out_dir / "bench_config.json", echo)

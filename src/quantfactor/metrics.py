@@ -57,7 +57,11 @@ def support_recovery(theta_hat, theta_true):
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte Carlo results for one method on one design."""
+    """Aggregated Monte Carlo results for one method on one design.
+
+    The per-rep arrays are indexed by rep and hold NaN where the rep failed;
+    reps counts the reps that did not, over which the means are taken.
+    """
 
     method: str
     reps: int
@@ -145,7 +149,8 @@ def run_monte_carlo(
     """Replicate the design, fit each method across the grid, average metrics.
 
     Per-rep seeds are spec.seed + rep.  Reps where a method fails outright are
-    excluded from that method's averages, with the count logged and reported.
+    excluded from that method's averages, with the count logged and reported,
+    and left NaN in its per-rep arrays.
 
     Returns a list of McReport, one per method, in the order given.
     """
@@ -158,36 +163,34 @@ def run_monte_carlo(
     if base_config is None:
         base_config = SolverConfig()
 
-    per_method = {m: {"theta": [], "q": [], "failed": 0} for m in methods}
+    theta_errs = {m: np.full(reps, np.nan) for m in methods}
+    q_errs = {m: np.full(reps, np.nan) for m in methods}
     for rep in range(reps):
         inst = generate(replace(spec, seed=spec.seed + rep))
         for m in methods:
             try:
                 rm = evaluate_rep(inst, m, grid, base_config, c1=c1, rep=rep)
             except QuantfactorError as exc:
-                per_method[m]["failed"] += 1
                 log.warning("rep %d method %s failed: %s", rep, m, exc)
                 continue
             if oracle_tuning:
-                per_method[m]["theta"].append(rm.oracle_theta_err)
-                per_method[m]["q"].append(rm.oracle_quantile_err)
+                theta_errs[m][rep], q_errs[m][rep] = rm.oracle_theta_err, rm.oracle_quantile_err
             else:
-                per_method[m]["theta"].append(rm.bic_theta_err)
-                per_method[m]["q"].append(rm.bic_quantile_err)
+                theta_errs[m][rep], q_errs[m][rep] = rm.bic_theta_err, rm.bic_quantile_err
 
     reports = []
     for m in methods:
-        theta = np.asarray(per_method[m]["theta"])
-        q = np.asarray(per_method[m]["q"])
+        theta, q = theta_errs[m], q_errs[m]
+        ok = ~np.isnan(theta)
         reports.append(
             McReport(
                 method=m,
-                reps=theta.size,
-                mean_theta_err_scaled=float(theta.mean()) if theta.size else float("nan"),
-                mean_quantile_err=float(q.mean()) if q.size else float("nan"),
+                reps=int(ok.sum()),
+                mean_theta_err_scaled=float(theta[ok].mean()) if ok.any() else float("nan"),
+                mean_quantile_err=float(q[ok].mean()) if ok.any() else float("nan"),
                 per_rep_theta_err=theta,
                 per_rep_quantile_err=q,
-                failed_reps=per_method[m]["failed"],
+                failed_reps=reps - int(ok.sum()),
             )
         )
     return reports

@@ -98,7 +98,8 @@ class SolverConfig:
                  near unit scale; affects the path, not the optimum
     max_iter     sweep budget
     tol_abs/rel  combined absolute/relative stopping tolerances
-    loss         "quantile" or "squared"
+    loss         "quantile" or "squared"; squared loss fits the mean, so it takes
+                 tau = 0.5 only
     fix_pi_zero  solve the plain l1-penalized regression with Pi pinned at 0
     """
 
@@ -125,6 +126,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        if self.loss == "squared" and self.tau != 0.5:
+            raise ValueError(f"squared loss fits the mean: tau must be 0.5, got {self.tau}")
 
 
 @dataclass(frozen=True)

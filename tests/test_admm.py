@@ -339,15 +339,32 @@ class TestResidualDefinitions:
         data, _, before, last, s = self.stepped(name)
         assert last.iterations == 1 and not last.converged
         xth = data.x @ s.theta
-        violations = {"u_v": s.v - s.w, "u_w": s.w - data.y + xth + s.z_pi,
-                      "u_pi": s.z_pi - s.pi, "u_theta": s.z_theta - s.theta}
+        violations = {"u_v": s.v - s.w, "r_w": s.w - data.y + xth + s.z_pi,
+                      "r_pi": s.z_pi - s.pi, "u_theta": s.z_theta - s.theta}
         assert violations["u_theta"].any() == (data.p > 0)
         primal = np.sqrt(sum(np.sum(r ** 2) for r in violations.values()))
         assert last.primal_residual == pytest.approx(primal, rel=1e-12)
         assert last.primal_residual > 0
-        for dual, r in violations.items():
+        for dual in ("u_v", "u_theta"):
             step = getattr(s, dual) - getattr(before, dual)
-            np.testing.assert_allclose(step, r, rtol=1e-9, atol=1e-12, err_msg=dual)
+            np.testing.assert_allclose(step, violations[dual], rtol=1e-9, atol=1e-12,
+                                       err_msg=dual)
+
+    @pytest.mark.parametrize("name", list(PANELS))
+    def test_one_dual_serves_three_constraints(self, name):
+        # The (Z_Pi, W) step's first-order conditions make W = Y - X theta - Z_Pi
+        # violated by V - W and Z_Pi = Pi by W - V, so U_V's step is theirs too.
+        data, cfg, _, _, s = self.stepped(name)
+        r_v = s.v - s.w
+        r_w = s.w - data.y + data.x @ s.theta + s.z_pi
+        r_pi = s.z_pi - s.pi
+        scale = np.abs(r_v).max()
+        assert scale > 0
+        np.testing.assert_allclose(r_w, r_v, rtol=0, atol=1e-9 * scale)
+        if cfg.fix_pi_zero:
+            assert not r_pi.any()
+        else:
+            np.testing.assert_allclose(r_pi, -r_v, rtol=0, atol=1e-9 * scale)
 
     @pytest.mark.parametrize("name", list(PANELS))
     def test_dual_residual_is_eta_times_the_change(self, name):
@@ -361,9 +378,9 @@ class TestResidualDefinitions:
     def test_pinned_fit_keeps_the_pi_blocks_zero(self):
         # start from an unpinned state, whose Pi blocks are not zero
         data, cfg, _, _, state = self.stepped("p>0")
-        assert state.pi.any() and state.z_pi.any() and state.u_pi.any()
+        assert state.pi.any() and state.z_pi.any()
         f = fit(data, replace(cfg, fix_pi_zero=True, max_iter=50), init=state)
-        for name in ("pi", "z_pi", "u_pi"):
+        for name in ("pi", "z_pi"):
             assert not getattr(state, name).any(), name
         assert not f.pi.any() and f.rank_estimate == 0
 

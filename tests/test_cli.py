@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import quantfactor
-from quantfactor import SolverConfig, read_matrix_csv
+from quantfactor import AllFitsFailed, SolverConfig, read_matrix_csv
 from quantfactor.cli import build_parser, cli_main
 from quantfactor.panel_io import read_panel_csv
 
@@ -139,6 +139,14 @@ class TestFactorsCommand:
         variance = (out / "variance.csv").read_text().splitlines()
         assert variance[0] == "component,singular_value,percent"
 
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_nonpositive_rank_is_a_usage_error(self, tmp_path, rank):
+        from quantfactor import write_matrix_csv
+        path = write_matrix_csv(np.eye(3), tmp_path / "pi.csv")
+        out = tmp_path / "fac"
+        assert run("factors", "--pi", path, "--rank", rank, "--out", out) == 2
+        assert not out.exists()
+
 
 class TestBench:
     def bench_args(self, out, seed=3):
@@ -182,6 +190,28 @@ class TestBench:
         args = list(self.bench_args(out))
         assert run(*args[:-2], *flags, *args[-2:]) == 2
         assert not out.exists()
+
+    def test_per_rep_rows_carry_their_rep(self, tmp_path, monkeypatch):
+        import quantfactor.metrics as metrics
+
+        real = metrics.evaluate_rep
+
+        def l1qr_fails_rep_1(inst, method, *args, rep=0, **kwargs):
+            if method == "l1qr" and rep == 1:
+                raise AllFitsFailed("none of the grid fits converged")
+            return real(inst, method, *args, rep=rep, **kwargs)
+
+        monkeypatch.setattr(metrics, "evaluate_rep", l1qr_fails_rep_1)
+        out = tmp_path / "bench"
+        args = list(self.bench_args(out))
+        args[args.index("--reps") + 1] = 3
+        assert run(*args) == 0
+        rows = [line.split(",")[:2]
+                for line in (out / "per_rep.csv").read_text().splitlines()[1:]]
+        assert rows == [["l1nnqr", "0"], ["l1nnqr", "1"], ["l1nnqr", "2"],
+                        ["l1qr", "0"], ["l1qr", "2"]]
+        bench = (out / "bench.csv").read_text().splitlines()
+        assert bench[2].startswith("l1qr,D1,15,2,15,2,oracle,") and bench[2].endswith(",1")
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -257,6 +287,25 @@ class TestErrorPaths:
         extra = ["--panel", panel] if panel else ["--n", 10, "--p", 2, "--T", 12]
         assert run(command, *extra, flag, value, "--out", out) == 2
         assert "empty comma list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_tau_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        panel = simulate_small(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        assert run("fit", "--panel", panel, "--tau", "1.5", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:ValueError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,taus", [("fit", "0.25,0.75"), ("tune", "0.5,0.9")])
+    def test_squared_loss_off_the_median_exits_2(self, tmp_path, capsys, command, taus):
+        # squared loss fits the mean; no tau's files are written under a quantile's name
+        panel = simulate_small(tmp_path)
+        out = tmp_path / command
+        assert run(command, "--panel", panel, "--loss", "squared", "--tau", taus,
+                   "--out", out) == 2
+        assert "error:ValueError: squared loss" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_exits_2(self, capsys):

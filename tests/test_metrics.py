@@ -166,6 +166,57 @@ class TestMonteCarlo:
                 float(np.mean(r.per_rep_quantile_err)), rel=1e-12
             )
 
+    def test_bic_tuning_reports_the_bic_picks(self):
+        spec = DesignSpec("D1", 8, 8, 2, seed=23)
+        grid = TuningGrid(nu1_values=np.array([1e-2, 1e-3]), nu2_values=np.array([1e-2]))
+        (report,) = run_monte_carlo(spec, ["l1nnqr"], grid, reps=2,
+                                    base_config=self.config())
+        for rep in range(2):
+            rm = evaluate_rep(generate(DesignSpec("D1", 8, 8, 2, seed=23 + rep)),
+                              "l1nnqr", grid, self.config())
+            assert report.per_rep_theta_err[rep] == rm.bic_theta_err
+            assert report.per_rep_quantile_err[rep] == rm.bic_quantile_err
+
+    def failing(self, monkeypatch, failed_reps):
+        """Make l1qr fail on the given reps."""
+        import quantfactor.metrics as metrics
+
+        real = metrics.evaluate_rep
+
+        def evaluate_or_fail(inst, method, *args, rep=0, **kwargs):
+            if method == "l1qr" and rep in failed_reps:
+                raise AllFitsFailed("none of the grid fits converged")
+            return real(inst, method, *args, rep=rep, **kwargs)
+
+        monkeypatch.setattr(metrics, "evaluate_rep", evaluate_or_fail)
+
+    def test_failed_rep_keeps_the_others_at_their_index(self, monkeypatch):
+        spec = DesignSpec("D1", 8, 8, 2, seed=23)
+        args = (spec, ["l1qr"], self.grid(), 3)
+        (whole,) = run_monte_carlo(*args, base_config=self.config())
+        self.failing(monkeypatch, {1})
+        (report,) = run_monte_carlo(*args, base_config=self.config())
+        assert (report.reps, report.failed_reps) == (2, 1)
+        for per_rep in ("per_rep_theta_err", "per_rep_quantile_err"):
+            got, want = getattr(report, per_rep), getattr(whole, per_rep)
+            assert np.isnan(got[1])
+            np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
+        assert report.mean_theta_err_scaled == np.mean(whole.per_rep_theta_err[[0, 2]])
+        assert report.mean_quantile_err == np.mean(whole.per_rep_quantile_err[[0, 2]])
+
+    def test_all_reps_failed_gives_nan_means_without_warning(self, monkeypatch):
+        import warnings
+
+        self.failing(monkeypatch, {0, 1})
+        spec = DesignSpec("D1", 8, 8, 2, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (report,) = run_monte_carlo(spec, ["l1qr"], self.grid(), 2,
+                                        base_config=self.config())
+        assert (report.reps, report.failed_reps) == (0, 2)
+        assert np.isnan(report.mean_theta_err_scaled) and np.isnan(report.mean_quantile_err)
+        assert np.isnan(report.per_rep_theta_err).all()
+
     def test_rep_order_is_permutation_invariant_in_mean(self):
         rng = np.random.default_rng(81)
         vals = rng.standard_normal(6)

@@ -204,6 +204,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(loss="huber")
 
+    @pytest.mark.parametrize("tau", [0.25, 0.75])
+    def test_squared_loss_takes_only_the_median(self, tau):
+        # squared loss fits the mean, whatever tau says
+        with pytest.raises(ValueError, match="squared loss"):
+            SolverConfig(tau=tau, loss="squared")
+        assert SolverConfig(tau=tau).loss == "quantile"
+        assert SolverConfig(tau=0.5, loss="squared").tau == 0.5
+
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.eta is None

@@ -185,7 +185,7 @@ class TestGridSearch:
 
 def assert_states_equal(a, b):
     for name in ("theta", "pi", "v", "w", "z_theta", "z_pi",
-                 "u_v", "u_w", "u_pi", "u_theta"):
+                 "u_v", "u_theta"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
     assert a.eta == b.eta
 
