@@ -5,7 +5,8 @@ The problem splits as V = W, W = Y - X theta - Z_Pi, Z_Pi = Pi, Z_theta = theta.
 U_V and -U_V, so U_V serves the first three and U_theta the fourth.  Every block update
 is an exact prox or an exact minimizer in closed form: a pinball (or squared-loss)
 prox for V, a cached Gram solve for theta, singular value thresholding for Pi, soft
-thresholding for Z_theta, and a 2x2 linear system solved jointly for (Z_Pi, W).
+thresholding for Z_theta, and for (Z_Pi, W) a consensus projection that reads no
+dual: V and Pi move back by the mean violation e = (V + Pi + X theta - Y) / 3.
 A panel without covariates (p = 0) runs the same loop with empty theta blocks.
 """
 
@@ -102,17 +103,16 @@ def estimate_rank(singular_values) -> int:
 def solve_zw_joint(a_tilde, b_tilde, c_tilde):
     """Exact joint minimizer of ||W + Z + A||^2 + ||W + B||^2 + ||Z + C||^2.
 
-    The first-order conditions are the 2x2 system 2W + Z = -A - B and
-    W + 2Z = -A - C, solved in closed form.
+    W = -B - e, Z = -C - e with e = (A - B - C) / 3: the consensus projection of Boyd
+    et al. (2011, sec. 7.3).  fit passes A = X theta - Y, B = -V, C = -Pi and no dual.
     """
     a = np.asarray(a_tilde, dtype=float)
     b = np.asarray(b_tilde, dtype=float)
     c = np.asarray(c_tilde, dtype=float)
     if a.shape != b.shape or a.shape != c.shape:
         raise DimensionMismatch("a_tilde, b_tilde, c_tilde must share one shape")
-    z = (-a - 2.0 * c + b) / 3.0
-    w = -a - c - 2.0 * z
-    return z, w
+    e = (a - b - c) / 3.0
+    return -c - e, -b - e
 
 
 def _tolerances(state: AdmmState, xth_minus_y, abs_primal, abs_dual, tol_rel):
@@ -242,21 +242,17 @@ def fit(
             # Z_theta: soft threshold with the scale-weighted l1 level.
             s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
 
-            # (Z_Pi, W): joint exact minimizer; with Pi pinned only W moves.
-            xth = x @ s.theta
-            xth_minus_y = xth - y
-            a_tilde = xth_minus_y + s.u_v
-            b_tilde = -s.v - s.u_v
+            # (Z_Pi, W): the consensus projection reads no dual; pinned, only W moves.
+            xth_minus_y = x @ s.theta - y
             if fix_pi:
-                s.w = -(a_tilde + b_tilde) / 2.0
+                s.w = (s.v - xth_minus_y) / 2.0
             else:
-                c_tilde = -s.pi - s.u_v
-                s.z_pi, s.w = solve_zw_joint(a_tilde, b_tilde, c_tilde)
+                s.z_pi, s.w = solve_zw_joint(xth_minus_y, -s.v, -s.pi)
 
             # Constraint violations, each formed once; the primal residual is their norm.
             # The (Z_Pi, W) step made r_w = r_v, r_pi = -r_v (pinned, 0): U_V serves all three.
             r_v = s.v - s.w
-            r_w = s.w - y + xth + s.z_pi
+            r_w = s.w + xth_minus_y + s.z_pi
             r_pi = s.z_pi - s.pi
             r_theta = s.z_theta - s.theta
             s.u_v = s.u_v + r_v

@@ -10,7 +10,7 @@ import numpy as np
 from .admm import GramCache, fit, support_mask
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
 from .panel import SolverConfig, compute_column_scales
-from .selection import TuningGrid, bic_pick, bic_score, grid_path
+from .selection import TuningGrid, bic_pick, bic_score, check_c1, grid_path
 from .simulate import DesignSpec, SimInstance, generate
 
 log = logging.getLogger(__name__)
@@ -109,6 +109,7 @@ def evaluate_rep(
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
     if base_config.tau != 0.5:
         raise ValueError(f"tau {base_config.tau}: errors are scored at the median only")
+    check_c1(c1)
     data = inst.data
     scales = compute_column_scales(data)
     gram = GramCache(data)
@@ -156,6 +157,7 @@ def run_monte_carlo(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    check_c1(c1)
     methods = list(methods)
     for m in methods:
         if m not in METHODS:

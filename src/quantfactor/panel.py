@@ -93,11 +93,11 @@ class SolverConfig:
     """Hyperparameters of one penalized quantile fit.
 
     tau          quantile level in (0, 1)
-    nu1, nu2     l1 and nuclear-norm penalty levels (>= 0)
-    eta          ADMM penalty (> 0), or None for 10 / (nT), which suits a response
-                 near unit scale; affects the path, not the optimum
+    nu1, nu2     l1 and nuclear-norm penalty levels (finite, >= 0)
+    eta          ADMM penalty (finite, > 0), or None for 10 / (nT), which suits a
+                 response near unit scale; affects the path, not the optimum
     max_iter     sweep budget
-    tol_abs/rel  combined absolute/relative stopping tolerances
+    tol_abs/rel  combined absolute/relative stopping tolerances (finite, > 0)
     loss         "quantile" or "squared"; squared loss fits the mean, so it takes
                  tau = 0.5 only
     fix_pi_zero  solve the plain l1-penalized regression with Pi pinned at 0
@@ -116,14 +116,17 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise ValueError("penalty levels must be nonnegative")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        # Each range test is written so that NaN fails it too.
+        if not (0.0 <= self.nu1 < np.inf and 0.0 <= self.nu2 < np.inf):
+            raise ValueError(f"penalty levels must be finite and nonnegative, got "
+                             f"nu1={self.nu1}, nu2={self.nu2}")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_abs < np.inf and 0.0 < self.tol_rel < np.inf):
+            raise ValueError(f"tolerances must be positive and finite, got "
+                             f"tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.loss == "squared" and self.tau != 0.5:

@@ -31,6 +31,7 @@ __all__ = [
     "SelectionReport",
     "bic_pick",
     "bic_score",
+    "check_c1",
     "default_c1",
     "grid_path",
     "grid_search",
@@ -61,8 +62,8 @@ class TuningGrid:
             vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if vals.size == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if np.any(vals <= 0):
-                raise ValueError(f"{name} entries must be positive")
+            if not np.all((vals > 0) & (vals < np.inf)):
+                raise ValueError(f"{name} entries must be positive and finite")
             if np.any(np.diff(vals) >= 0):
                 raise ValueError(f"{name} must be sorted strictly descending")
             vals.setflags(write=False)
@@ -92,6 +93,16 @@ class SelectionReport:
 
 def default_c1(data: PanelData) -> float:
     return float(np.log(data.n * data.t_len) ** 2)
+
+
+def check_c1(c1: float | None) -> None:
+    """Raise ValueError unless the sparsity weight c1 is None or finite and >= 0.
+
+    A NaN c1 makes every BIC NaN, so bic_pick's strict < never fires, and a
+    negative one rewards nonzero coefficients.
+    """
+    if c1 is not None and not 0.0 <= c1 < np.inf:
+        raise ValueError(f"c1 must be finite and nonnegative, got {c1}")
 
 
 def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None) -> float:
@@ -165,6 +176,7 @@ def grid_search(
 
     Non-converged fits stay in the table, flagged, but cannot be picked.
     """
+    check_c1(c1)
     if scales is None:
         scales = compute_column_scales(data)
     gram = GramCache(data)

@@ -72,6 +72,16 @@ class TestSolveZwJoint:
         with pytest.raises(DimensionMismatch):
             solve_zw_joint(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
+    def test_a_shared_dual_cancels(self):
+        # adding U to A and taking it from B and C leaves the minimizer where it
+        # was, so the sweep passes no dual
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            a, b, c, u = rng.standard_normal((4, 4, 5))
+            for shifted, plain in zip(solve_zw_joint(a + u, b - u, c - u),
+                                      solve_zw_joint(a, b, c)):
+                np.testing.assert_allclose(shifted, plain, rtol=0, atol=1e-12)
+
 
 class TestGramCache:
     def test_solve_roundtrip(self):
@@ -263,7 +273,7 @@ class TestFit:
             fit(data, SolverConfig(tau=0.5, nu1=0.1, nu2=0.1, max_iter=50))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_warm_start_raises_before_callback(self, bad):
+    def test_non_finite_warm_start_raises_in_the_first_sweep(self, bad):
         # a one-sweep fit: the error comes in the first sweep, not after it
         rng = np.random.default_rng(43)
         data = random_panel(rng, 3, 4, 2)
@@ -367,6 +377,22 @@ class TestResidualDefinitions:
             np.testing.assert_allclose(r_pi, -r_v, rtol=0, atol=1e-9 * scale)
 
     @pytest.mark.parametrize("name", list(PANELS))
+    def test_consensus_step_moves_back_by_the_mean_violation(self, name):
+        # W and Z_Pi are V and Pi less e, the mean violation of
+        # W + Z_Pi = Y - X theta at (V, Pi); pinned, W splits V's gap to Y - X theta.
+        data, cfg, _, _, s = self.stepped(name)
+        xth_minus_y = data.x @ s.theta - data.y
+        atol = 1e-9 * np.abs(s.v).max()
+        assert atol > 0
+        if cfg.fix_pi_zero:
+            np.testing.assert_allclose(s.w, (s.v - xth_minus_y) / 2, rtol=0, atol=atol)
+            assert not s.z_pi.any()
+        else:
+            e = (s.v + s.pi + xth_minus_y) / 3
+            np.testing.assert_allclose(s.w, s.v - e, rtol=0, atol=atol)
+            np.testing.assert_allclose(s.z_pi, s.pi - e, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("name", list(PANELS))
     def test_dual_residual_is_eta_times_the_change(self, name):
         _, _, before, last, s = self.stepped(name)
         change = (np.sum((s.w - before.w) ** 2) + np.sum((s.z_pi - before.z_pi) ** 2)
@@ -429,7 +455,7 @@ class TestFitNoCovariates:
         assert f.theta.size == 0
         np.testing.assert_allclose(f.pi, np.zeros((2, 2)), atol=1e-10)
 
-    def test_init_and_callback_are_honoured(self):
+    def test_one_sweep_resumes_reach_the_whole_fit(self):
         # one-sweep fits that each resume from the state the last one left
         # reach the whole fit's optimum
         rng = np.random.default_rng(41)

@@ -308,6 +308,36 @@ class TestErrorPaths:
         assert "error:ValueError: squared loss" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ("--tol-rel", "nan")), ("fit", ("--tol-abs", "nan")),
+        ("fit", ("--nu1", "nan")), ("fit", ("--eta", "nan")),
+        ("fit", ("--nu2", "nan")), ("fit", ("--nu2", "inf")),
+        ("tune", ("--grid-nu2", "1e-2,nan")), ("tune", ("--c1", "nan")),
+        ("tune", ("--c1", "inf")), ("tune", ("--c1=-1e3",)),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+    def test_bad_solver_setting_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                           command, flags):
+        panel = simulate_small(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / command
+        grid = ("--grid-nu1", "1e-3", "--grid-nu2", "1e-2") if command == "tune" else ()
+        assert run(command, "--panel", panel, *grid, *flags, "--max-iter", 300,
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:ValueError:")
+        assert "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--tol-abs", "nan"),
+                                       ("--c1", "nan")], ids="=".join)
+    def test_bad_bench_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench"
+        assert run("bench", "--n", 8, "--p", 2, "--T", 9, "--reps", 2,
+                   "--grid-nu1", "1e-3", "--grid-nu2", "1e-2", *flags,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error:ValueError:")
+        assert not out.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert run() == 2
         assert run("fit") == 2  # --panel is required

@@ -217,10 +217,22 @@ class TestMonteCarlo:
         assert np.isnan(report.mean_theta_err_scaled) and np.isnan(report.mean_quantile_err)
         assert np.isnan(report.per_rep_theta_err).all()
 
-    def test_rep_order_is_permutation_invariant_in_mean(self):
-        rng = np.random.default_rng(81)
-        vals = rng.standard_normal(6)
-        assert np.mean(vals) == pytest.approx(np.mean(vals[::-1]), rel=1e-12)
+    @pytest.mark.parametrize("c1", [np.nan, np.inf, -1e3])
+    def test_bad_c1_rejected_before_any_fit(self, monkeypatch, c1):
+        import quantfactor.metrics as metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before c1 was checked")
+
+        spec = DesignSpec("D1", 8, 8, 2, seed=24)
+        inst = generate(spec)
+        monkeypatch.setattr(metrics, "fit", never)
+        monkeypatch.setattr(metrics, "generate", never)
+        with pytest.raises(ValueError, match="c1"):
+            evaluate_rep(inst, "l1nnqr", self.grid(), self.config(), c1=c1)
+        with pytest.raises(ValueError, match="c1"):
+            run_monte_carlo(spec, ["l1qr"], self.grid(), reps=1,
+                            base_config=self.config(), c1=c1)
 
     def test_unknown_method_rejected(self):
         spec = DesignSpec("D1", 5, 5, 2, seed=24)

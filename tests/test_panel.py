@@ -204,6 +204,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(loss="huber")
 
+    @pytest.mark.parametrize("name", ["nu1", "nu2", "eta", "tol_abs", "tol_rel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_settings_rejected(self, name, bad):
+        # NaN passes every < and <= test, so each range test must reject it itself
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{name: bad})
+
     @pytest.mark.parametrize("tau", [0.25, 0.75])
     def test_squared_loss_takes_only_the_median(self, tau):
         # squared loss fits the mean, whatever tau says

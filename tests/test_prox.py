@@ -265,7 +265,7 @@ class TestPartialSvt:
         self.check(m, thr, hint, kept)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_rank_above_cut_over_falls_back(self, shape):
+    def test_rank_above_cut_over_keeps_every_pair(self, shape):
         # a hint the matrix outgrew: the solve bounded by value returns more
         # pairs than the cut-over, and all of them are kept
         kept = self.cut_over(shape) + 3

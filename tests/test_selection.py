@@ -47,6 +47,12 @@ class TestTuningGrid:
         with pytest.raises(ValueError):
             TuningGrid(nu1_values=np.array([]))
 
+    @pytest.mark.parametrize("name", ["nu1_values", "nu2_values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TuningGrid(**{name: np.array([bad, 1e-2])})
+
 
 class TestEstimators:
     def test_sparsity_zero_vector(self):
@@ -116,6 +122,18 @@ class TestGridSearch:
         defaults = dict(tau=0.5, eta=10.0 / 72.0, max_iter=20000)
         defaults.update(kw)
         return SolverConfig(**defaults)
+
+    @pytest.mark.parametrize("c1", [np.nan, np.inf, -1e3])
+    def test_bad_c1_rejected_before_the_first_fit(self, monkeypatch, c1):
+        import quantfactor.selection as selection
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called before c1 was checked")
+
+        monkeypatch.setattr(selection, "fit", no_fit)
+        grid = TuningGrid(nu1_values=np.array([1e-3]), nu2_values=np.array([1e-2]))
+        with pytest.raises(ValueError, match="c1"):
+            grid_search(self.small_instance(), grid, self.config(), c1=c1)
 
     def test_single_point_grid(self):
         data = self.small_instance()
