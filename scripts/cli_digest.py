@@ -3,13 +3,14 @@
 Runs simulate (D1, D4), fit (two taus, --fix-pi-zero, --loss squared, a
 rank-zero fit, a missing panel, and three usage errors: --loss squared at two
 taus other than 0.5, --tol-rel nan and --nu2 inf), tune (explicit grid; default
-grid with --c1; --fix-pi-zero; --c1 nan, a usage error), factors (rank 2, and
-rank 0, a usage error), bench (three methods with --oracle), bench --max-iter 1,
-bench --loss squared (a usage error) and a 4-rep bench in which l1qr fails rep
-1, through `cli_main`, in a temporary working directory with relative --out and
---panel paths, so the summary.json config echo is the same wherever the script
-runs.  It prints the exit code of each call, then "sha256  relative/path" for
-every file written.
+grid with --c1; --fix-pi-zero; and three usage errors: --c1 nan, and on a
+missing panel an ascending --grid-nu1 and --c1 nan, which must be found before
+the panel is read), factors (rank 2, and rank 0, a usage error), bench (three
+methods with --oracle), bench --max-iter 1, bench --loss squared (a usage
+error) and a 4-rep bench in which l1qr fails rep 1, through `cli_main`, in a
+temporary working directory with relative --out and --panel paths, so the
+summary.json config echo is the same wherever the script runs.  It prints the
+exit code of each call, then "sha256  relative/path" for every file written.
 
 Two source trees write the same bytes when their digests agree, e.g. a parent
 checkout against this one, run from the repository root:
@@ -50,6 +51,8 @@ CALLS = [
      "1e-2,1e-3", "--fix-pi-zero", "--out", "tune_l1qr"],
     ["tune", "--panel", "sim1/panel.csv", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
      "--c1", "nan", "--out", "tune_c1_nan"],
+    ["tune", "--panel", "missing.csv", "--grid-nu1", "1e-3,1e-2", "--out", "tune_grid_up"],
+    ["tune", "--panel", "missing.csv", "--c1", "nan", "--out", "tune_c1_missing"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "2", "--out", "factors"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "0", "--out", "factors_rank0"],
     ["bench", *BENCH, "--methods", "l1nnqr,l1qr,l1nnls", "--oracle",

@@ -35,7 +35,7 @@ ZERO_TOL = 1e-8
 
 @dataclass
 class AdmmState:
-    """All primal, slack, and scaled dual iterates of one solve.
+    """The iterates a sweep reads: V is not one, as each sweep forms it from W - U_V.
 
     u_v is the one dual of the three consensus constraints (module docstring).
     Mutable and confined to a single worker; pass a previous state back into
@@ -44,7 +44,6 @@ class AdmmState:
 
     theta: np.ndarray
     pi: np.ndarray
-    v: np.ndarray
     w: np.ndarray
     z_theta: np.ndarray
     z_pi: np.ndarray
@@ -56,8 +55,8 @@ class AdmmState:
     def zeros(cls, n: int, t_len: int, p: int, eta: float | None) -> "AdmmState":
         m = lambda: np.zeros((n, t_len))
         v = lambda: np.zeros(p)
-        return cls(theta=v(), pi=m(), v=m(), w=m(), z_theta=v(), z_pi=m(), u_v=m(),
-                   u_theta=v(), eta=eta)
+        return cls(theta=v(), pi=m(), w=m(), z_theta=v(), z_pi=m(), u_v=m(), u_theta=v(),
+                   eta=eta)
 
 
 class GramCache:
@@ -115,14 +114,14 @@ def solve_zw_joint(a_tilde, b_tilde, c_tilde):
     return -c - e, -b - e
 
 
-def _tolerances(state: AdmmState, xth_minus_y, abs_primal, abs_dual, tol_rel):
+def _tolerances(state: AdmmState, v, xth_minus_y, abs_primal, abs_dual, tol_rel):
     """Boyd-style combined absolute/relative thresholds for both residuals.
 
     abs_primal and abs_dual are the fit's tol_abs * sqrt(3nT + p) and
-    tol_abs * sqrt(2nT + p); xth_minus_y is the sweep's X theta - Y.
+    tol_abs * sqrt(2nT + p); v and xth_minus_y are the sweep's V and X theta - Y.
     """
     primal_scale = max(
-        np.linalg.norm(state.v), np.linalg.norm(state.w),
+        np.linalg.norm(v), np.linalg.norm(state.w),
         np.linalg.norm(state.z_pi), np.linalg.norm(state.pi),
         np.linalg.norm(state.z_theta), np.linalg.norm(state.theta),
         np.linalg.norm(xth_minus_y),
@@ -164,8 +163,8 @@ def fit(
     -------
     QuantileFit with theta taken from the soft-threshold iterate and pi from
     the singular-value-threshold iterate, so support and rank counts reflect
-    exact zeros.  primal_residual is the norm of the last sweep's four constraint
-    violations (the first equals the second and minus the third: one U_V step).
+    exact zeros.  primal_residual is sqrt(k ||V - W||^2 + ||Z_theta - theta||^2), the
+    norm of the last sweep's four violations, k = 3 of them +-(V - W) (pinned, k = 2).
     dual_residual is eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
 
     Raises
@@ -193,8 +192,9 @@ def fit(
     # The pinball prox moves V by at most 1/(nT eta) a sweep: 0.1 at the default.
     eta = config.eta if config.eta is not None else 10.0 / nt
     s = init if init is not None else AdmmState.zeros(n, t_len, p, eta)
-    if s.pi.shape != (n, t_len) or s.theta.shape != (p,):
-        raise DimensionMismatch("warm-start state does not match the panel")
+    for name in ("pi", "w", "z_pi", "u_v", "theta", "z_theta", "u_theta"):
+        if np.shape(getattr(s, name)) != ((p,) if "theta" in name else (n, t_len)):
+            raise DimensionMismatch(f"warm-start {name} does not match the panel")
     if s.eta is not None and s.eta != eta:
         # The scaled duals are the true duals over eta: keep the true duals.
         ratio = s.eta / eta
@@ -211,6 +211,7 @@ def fit(
     fix_pi = config.fix_pi_zero
     abs_primal = config.tol_abs * np.sqrt(3 * nt + p)
     abs_dual = config.tol_abs * np.sqrt(2 * nt + p)
+    n_consensus = 2.0 if fix_pi else 3.0
     svals = np.zeros(min(n, t_len))
     # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
     # its eigensolver; the first has none.
@@ -226,7 +227,7 @@ def fit(
 
             # V: prox of the loss at W - U_V.
             av = s.w - s.u_v
-            s.v = prox_squared(av, eta, nt) if squared else prox_pinball(av, config.tau, kappa)
+            v = prox_squared(av, eta, nt) if squared else prox_pinball(av, config.tau, kappa)
 
             # theta: (Gram + I)^{-1} (-sum X A + Z_theta + U_theta), A from last sweep.
             a = s.w + s.z_pi + s.u_v - y
@@ -245,28 +246,25 @@ def fit(
             # (Z_Pi, W): the consensus projection reads no dual; pinned, only W moves.
             xth_minus_y = x @ s.theta - y
             if fix_pi:
-                s.w = (s.v - xth_minus_y) / 2.0
+                s.w = (v - xth_minus_y) / 2.0
             else:
-                s.z_pi, s.w = solve_zw_joint(xth_minus_y, -s.v, -s.pi)
+                s.z_pi, s.w = solve_zw_joint(xth_minus_y, -v, -s.pi)
 
-            # Constraint violations, each formed once; the primal residual is their norm.
-            # The (Z_Pi, W) step made r_w = r_v, r_pi = -r_v (pinned, 0): U_V serves all three.
-            r_v = s.v - s.w
-            r_w = s.w + xth_minus_y + s.z_pi
-            r_pi = s.z_pi - s.pi
+            # The (Z_Pi, W) step left the n_consensus constraints violated by r = V - W
+            # (Z_Pi = Pi by -r): U_V steps by r, and the primal residual counts it that often.
+            r = v - s.w
             r_theta = s.z_theta - s.theta
-            s.u_v = s.u_v + r_v
+            s.u_v = s.u_v + r
             s.u_theta = s.u_theta + r_theta
 
-            # Any NaN or inf in theta, Pi, V, W, Z_Pi or Z_theta reaches a residual.
-            primal = float(np.sqrt(np.sum(r_v ** 2) + np.sum(r_w ** 2)
-                                   + np.sum(r_pi ** 2) + np.sum(r_theta ** 2)))
+            # Any NaN or inf reaches a residual: in theta, Pi or V by way of W.
+            primal = float(np.sqrt(n_consensus * np.sum(r ** 2) + np.sum(r_theta ** 2)))
             dual = float(eta * np.sqrt(np.sum((s.w - w_prev) ** 2)
                                        + np.sum((s.z_pi - z_pi_prev) ** 2)
                                        + np.sum((s.z_theta - z_theta_prev) ** 2)))
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            eps_primal, eps_dual = _tolerances(s, xth_minus_y, abs_primal, abs_dual,
+            eps_primal, eps_dual = _tolerances(s, v, xth_minus_y, abs_primal, abs_dual,
                                                config.tol_rel)
             if primal <= eps_primal and dual <= eps_dual:
                 converged = True

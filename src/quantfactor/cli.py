@@ -27,7 +27,7 @@ from .panel_io import (
     write_matrix_csv,
     write_sim_instance,
 )
-from .selection import TuningGrid, grid_search
+from .selection import TuningGrid, check_c1, grid_search
 from .simulate import DESIGNS, DesignSpec, generate
 from .metrics import run_monte_carlo
 
@@ -167,10 +167,12 @@ def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
+    # the configs, the grid and c1 are checked before any file is read or written
     configs = [_solver_config(args, tau) for tau in args.taus]
+    grid = _grid(args)
+    check_c1(args.c1)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    grid = _grid(args)
     for cfg in configs:
         report = grid_search(data, grid, cfg, c1=args.c1, scales=scales)
         write_csv(

@@ -15,6 +15,7 @@ from quantfactor import (
     compute_column_scales,
     fit,
     penalized_objective,
+    prox_pinball,
     solve_zw_joint,
 )
 from quantfactor import admm
@@ -287,12 +288,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, SolverConfig(fix_pi_zero=True))
 
-    def test_warm_start_shape_mismatch(self):
-        rng = np.random.default_rng(37)
-        data = random_panel(rng, 3, 3, 2)
-        state = AdmmState.zeros(4, 4, 2, 1.0)
-        with pytest.raises(DimensionMismatch):
-            fit(data, SolverConfig(), init=state)
+    # each broadcasts against a 6 x 7 panel's shapes, so only fit's check stops it
+    MISSHAPED = {"pi": (1, 7), "w": (1, 7), "z_pi": (6, 1), "u_v": (6, 1), "theta": (1,),
+                 "z_theta": (1,), "u_theta": (1,)}
+
+    @pytest.mark.parametrize("name", ["panel", *MISSHAPED])
+    def test_warm_start_shape_mismatch(self, name):
+        data = random_panel(np.random.default_rng(37), 6, 7, 2)
+        if name == "panel":  # a whole state for another panel; pi is checked first
+            state, name = AdmmState.zeros(4, 4, 2, 1.0), "pi"
+        else:
+            state = AdmmState.zeros(6, 7, 2, 1.0)
+            setattr(state, name, np.zeros(self.MISSHAPED[name]))
+        with pytest.raises(DimensionMismatch, match=f"warm-start {name} "):
+            fit(data, SolverConfig(max_iter=50), init=state)
 
     def test_matches_cvxpy_reference(self):
         cp = pytest.importorskip("cvxpy")
@@ -344,12 +353,19 @@ class TestResidualDefinitions:
         last = fit(data, replace(cfg, max_iter=1), init=state)
         return data, cfg, before, last, state
 
+    @staticmethod
+    def last_v(data, cfg, before):
+        """The last sweep's V, which fit forms from the state before that sweep."""
+        kappa = 1.0 / (data.n * data.t_len * before.eta)
+        return prox_pinball(before.w - before.u_v, cfg.tau, kappa)
+
     @pytest.mark.parametrize("name", list(PANELS))
     def test_primal_residual_is_the_dual_step(self, name):
-        data, _, before, last, s = self.stepped(name)
+        data, cfg, before, last, s = self.stepped(name)
         assert last.iterations == 1 and not last.converged
         xth = data.x @ s.theta
-        violations = {"u_v": s.v - s.w, "r_w": s.w - data.y + xth + s.z_pi,
+        v = self.last_v(data, cfg, before)
+        violations = {"u_v": v - s.w, "r_w": s.w - data.y + xth + s.z_pi,
                       "r_pi": s.z_pi - s.pi, "u_theta": s.z_theta - s.theta}
         assert violations["u_theta"].any() == (data.p > 0)
         primal = np.sqrt(sum(np.sum(r ** 2) for r in violations.values()))
@@ -364,8 +380,8 @@ class TestResidualDefinitions:
     def test_one_dual_serves_three_constraints(self, name):
         # The (Z_Pi, W) step's first-order conditions make W = Y - X theta - Z_Pi
         # violated by V - W and Z_Pi = Pi by W - V, so U_V's step is theirs too.
-        data, cfg, _, _, s = self.stepped(name)
-        r_v = s.v - s.w
+        data, cfg, before, _, s = self.stepped(name)
+        r_v = self.last_v(data, cfg, before) - s.w
         r_w = s.w - data.y + data.x @ s.theta + s.z_pi
         r_pi = s.z_pi - s.pi
         scale = np.abs(r_v).max()
@@ -380,16 +396,17 @@ class TestResidualDefinitions:
     def test_consensus_step_moves_back_by_the_mean_violation(self, name):
         # W and Z_Pi are V and Pi less e, the mean violation of
         # W + Z_Pi = Y - X theta at (V, Pi); pinned, W splits V's gap to Y - X theta.
-        data, cfg, _, _, s = self.stepped(name)
+        data, cfg, before, _, s = self.stepped(name)
+        v = self.last_v(data, cfg, before)
         xth_minus_y = data.x @ s.theta - data.y
-        atol = 1e-9 * np.abs(s.v).max()
+        atol = 1e-9 * np.abs(v).max()
         assert atol > 0
         if cfg.fix_pi_zero:
-            np.testing.assert_allclose(s.w, (s.v - xth_minus_y) / 2, rtol=0, atol=atol)
+            np.testing.assert_allclose(s.w, (v - xth_minus_y) / 2, rtol=0, atol=atol)
             assert not s.z_pi.any()
         else:
-            e = (s.v + s.pi + xth_minus_y) / 3
-            np.testing.assert_allclose(s.w, s.v - e, rtol=0, atol=atol)
+            e = (v + s.pi + xth_minus_y) / 3
+            np.testing.assert_allclose(s.w, v - e, rtol=0, atol=atol)
             np.testing.assert_allclose(s.z_pi, s.pi - e, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("name", list(PANELS))

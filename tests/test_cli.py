@@ -328,6 +328,16 @@ class TestErrorPaths:
         assert "finite" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [("--grid-nu1", "1e-3,1e-2"), ("--c1", "nan")],
+                             ids="=".join)
+    def test_bad_tune_setting_exits_2_before_the_panel_is_read(self, tmp_path, capsys,
+                                                                flags):
+        # the panel is missing, so reading it first would exit 3
+        out = tmp_path / "tune"
+        assert run("tune", "--panel", tmp_path / "missing.csv", *flags, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error:ValueError:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--tol-abs", "nan"),
                                        ("--c1", "nan")], ids="=".join)
     def test_bad_bench_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):

@@ -202,8 +202,8 @@ class TestGridSearch:
 
 
 def assert_states_equal(a, b):
-    for name in ("theta", "pi", "v", "w", "z_theta", "z_pi",
-                 "u_v", "u_theta"):
+    # V is not kept: a sweep forms it from W, U_V and eta, compared here
+    for name in ("theta", "pi", "w", "z_theta", "z_pi", "u_v", "u_theta"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
     assert a.eta == b.eta
 
