@@ -1,16 +1,21 @@
 """Digest of the files a fixed set of CLI calls writes, to check byte-identity.
 
 Runs simulate (D1, D4), fit (two taus, --fix-pi-zero, --loss squared, a
-rank-zero fit, a missing panel, and three usage errors: --loss squared at two
-taus other than 0.5, --tol-rel nan and --nu2 inf), tune (explicit grid; default
+rank-zero fit, a missing panel, three data errors: a directory as --panel, a
+panel that is not UTF-8 and a file as --out, and four usage errors: --loss
+squared at two taus other than 0.5, --tol-rel nan, --nu2 inf, and taus 0.1 and
+0.1000001, which share one tau_0.1 directory), tune (explicit grid; default
 grid with --c1; --fix-pi-zero; and three usage errors: --c1 nan, and on a
 missing panel an ascending --grid-nu1 and --c1 nan, which must be found before
-the panel is read), factors (rank 2, and rank 0, a usage error), bench (three
-methods with --oracle), bench --max-iter 1, bench --loss squared (a usage
-error) and a 4-rep bench in which l1qr fails rep 1, through `cli_main`, in a
-temporary working directory with relative --out and --panel paths, so the
-summary.json config echo is the same wherever the script runs.  It prints the
-exit code of each call, then "sha256  relative/path" for every file written.
+the panel is read), factors (rank 2, rank 0, a usage error, and a directory as
+--pi, a data error), bench (three methods with --oracle), bench --max-iter 1,
+bench --loss squared (a usage error) and a 4-rep bench in which l1qr fails
+rep 1, through `cli_main`, in a temporary working directory with relative --out
+and --panel paths, so the summary.json config echo is the same wherever the
+script runs.  The directory `a_directory`, the non-UTF-8 panel `not_utf8.csv`
+and the file `out_file` are made there first.  It prints the exit code of each
+call, or the name of an exception that escaped `cli_main`, then
+"sha256  relative/path" for every file under that directory.
 
 Two source trees write the same bytes when their digests agree, e.g. a parent
 checkout against this one, run from the repository root:
@@ -43,6 +48,10 @@ CALLS = [
      "--out", "fit_sq_taus"],
     ["fit", "--panel", "sim1/panel.csv", *FIT, "--tol-rel", "nan", "--out", "fit_tol_nan"],
     ["fit", "--panel", "sim1/panel.csv", "--nu2", "inf", "--out", "fit_nu2_inf"],
+    ["fit", "--panel", "sim1/panel.csv", "--tau", "0.1,0.1000001", "--out", "fit_tau_twice"],
+    ["fit", "--panel", "a_directory", "--out", "fit_panel_dir"],
+    ["fit", "--panel", "not_utf8.csv", "--out", "fit_not_utf8"],
+    ["fit", "--panel", "sim1/panel.csv", *FIT, "--out", "out_file"],
     ["tune", "--panel", "sim1/panel.csv", "--tau", "0.5,0.9", "--grid-nu1", "1e-3,1e-4",
      "--grid-nu2", "1e-2,1e-3", "--out", "tune_grid"],
     ["tune", "--panel", "sim4/panel.csv", "--c1", "0.5", "--max-iter", "500",
@@ -55,6 +64,7 @@ CALLS = [
     ["tune", "--panel", "missing.csv", "--c1", "nan", "--out", "tune_c1_missing"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "2", "--out", "factors"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "0", "--out", "factors_rank0"],
+    ["factors", "--pi", "a_directory", "--rank", "1", "--out", "factors_pi_dir"],
     ["bench", *BENCH, "--methods", "l1nnqr,l1qr,l1nnls", "--oracle",
      "--grid-nu1", "1e-3,1e-4", "--grid-nu2", "1e-2,1e-3", "--out", "bench_oracle"],
     ["bench", *BENCH, "--max-iter", "1", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
@@ -67,11 +77,21 @@ CALLS = [
 ]
 
 
+def exit_code(argv):
+    try:
+        return cli_main(argv)
+    except Exception as exc:
+        return f"uncaught {type(exc).__name__}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        Path("a_directory").mkdir()
+        Path("not_utf8.csv").write_bytes(b"unit,period,y,x1\nu1,t1,1,\xff\xfe\n")
+        Path("out_file").write_bytes(b"kept\n")
         for argv in CALLS:
-            print(cli_main(argv), " ".join(argv))
+            print(exit_code(argv), " ".join(argv))
         root = Path(tmp)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

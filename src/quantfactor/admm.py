@@ -35,11 +35,11 @@ ZERO_TOL = 1e-8
 
 @dataclass
 class AdmmState:
-    """The iterates a sweep reads: V is not one, as each sweep forms it from W - U_V.
+    """w, z_pi, u_v, z_theta and u_theta carry over between sweeps; theta and pi are outputs.
 
-    u_v is the one dual of the three consensus constraints (module docstring).
-    Mutable and confined to a single worker; pass a previous state back into
-    fit() to warm start.  fit() sets eta to the penalty it used.
+    Each sweep forms theta and Pi afresh, as it forms V from W - U_V.  u_v is the one dual
+    of the three consensus constraints.  Mutable and confined to a single worker; pass a
+    previous state back into fit() to warm start.  fit() sets eta to the penalty it used.
     """
 
     theta: np.ndarray
@@ -112,22 +112,6 @@ def solve_zw_joint(a_tilde, b_tilde, c_tilde):
         raise DimensionMismatch("a_tilde, b_tilde, c_tilde must share one shape")
     e = (a - b - c) / 3.0
     return -c - e, -b - e
-
-
-def _tolerances(state: AdmmState, v, xth_minus_y, abs_primal, abs_dual, tol_rel):
-    """Boyd-style combined absolute/relative thresholds for both residuals.
-
-    abs_primal and abs_dual are the fit's tol_abs * sqrt(3nT + p) and
-    tol_abs * sqrt(2nT + p); v and xth_minus_y are the sweep's V and X theta - Y.
-    """
-    primal_scale = max(
-        np.linalg.norm(v), np.linalg.norm(state.w),
-        np.linalg.norm(state.z_pi), np.linalg.norm(state.pi),
-        np.linalg.norm(state.z_theta), np.linalg.norm(state.theta),
-        np.linalg.norm(xth_minus_y),
-    )
-    dual_scale = state.eta * max(np.linalg.norm(state.u_v), np.linalg.norm(state.u_theta))
-    return abs_primal + tol_rel * primal_scale, abs_dual + tol_rel * dual_scale
 
 
 def fit(
@@ -209,17 +193,17 @@ def fit(
     svt_threshold = config.nu2 / eta
     squared = config.loss == "squared"
     fix_pi = config.fix_pi_zero
-    abs_primal = config.tol_abs * np.sqrt(3 * nt + p)
-    abs_dual = config.tol_abs * np.sqrt(2 * nt + p)
-    n_consensus = 2.0 if fix_pi else 3.0
+    # k consensus constraints (2 when pinned): each absolute tolerance counts the entries
+    # its residual stacks, k nT + p and (k - 1) nT + p (Boyd et al. 2011, sec. 3.3.1).
+    k = 2 if fix_pi else 3
+    abs_primal = config.tol_abs * np.sqrt(k * nt + p)
+    abs_dual = config.tol_abs * np.sqrt((k - 1) * nt + p)
     svals = np.zeros(min(n, t_len))
     # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
     # its eigensolver; the first has none.
     rank_hint = None
 
     converged = False
-    primal = dual = np.inf
-    sweep = 0
     # The residual test is the non-finite guard; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, config.max_iter + 1):
@@ -250,7 +234,7 @@ def fit(
             else:
                 s.z_pi, s.w = solve_zw_joint(xth_minus_y, -v, -s.pi)
 
-            # The (Z_Pi, W) step left the n_consensus constraints violated by r = V - W
+            # The (Z_Pi, W) step left the k constraints violated by r = V - W
             # (Z_Pi = Pi by -r): U_V steps by r, and the primal residual counts it that often.
             r = v - s.w
             r_theta = s.z_theta - s.theta
@@ -258,14 +242,16 @@ def fit(
             s.u_theta = s.u_theta + r_theta
 
             # Any NaN or inf reaches a residual: in theta, Pi or V by way of W.
-            primal = float(np.sqrt(n_consensus * np.sum(r ** 2) + np.sum(r_theta ** 2)))
+            primal = float(np.sqrt(k * np.sum(r ** 2) + np.sum(r_theta ** 2)))
             dual = float(eta * np.sqrt(np.sum((s.w - w_prev) ** 2)
                                        + np.sum((s.z_pi - z_pi_prev) ** 2)
                                        + np.sum((s.z_theta - z_theta_prev) ** 2)))
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            eps_primal, eps_dual = _tolerances(s, v, xth_minus_y, abs_primal, abs_dual,
-                                               config.tol_rel)
+            eps_primal = abs_primal + config.tol_rel * max(map(np.linalg.norm, (
+                v, s.w, s.z_pi, s.pi, s.z_theta, s.theta, xth_minus_y)))
+            eps_dual = abs_dual + config.tol_rel * (
+                eta * max(np.linalg.norm(s.u_v), np.linalg.norm(s.u_theta)))
             if primal <= eps_primal and dual <= eps_dual:
                 converged = True
                 break

@@ -1,7 +1,7 @@
 """Command-line surface: fit, tune, simulate, factors, bench.
 
-Exit codes: 0 success (including non-converged fits, which are results, not
-failures), 2 usage errors, 3 data errors, 4 numeric/solver errors.  Failures
+Exit codes: 0 success (a non-converged fit is a result, not a failure), 2 usage
+errors, 3 data errors (any OSError among them), 4 numeric/solver errors.  Failures
 print one machine-parsable line: "error:<Category>: <detail>".
 """
 
@@ -141,48 +141,52 @@ def _grid(args: argparse.Namespace) -> TuningGrid:
     return TuningGrid(**kwargs)
 
 
-def _tau_dir(out: str, tau: float) -> Path:
-    return Path(out) / f"tau_{tau:g}"
+def _tau_configs(args: argparse.Namespace) -> dict[Path, SolverConfig]:
+    """Each --tau's SolverConfig, keyed by the tau_{:g} directory it alone writes."""
+    configs = {}
+    for tau in args.taus:
+        tau_dir = Path(args.out) / f"tau_{tau:g}"
+        if tau_dir in configs:
+            raise ValueError(f"--tau {tau!r} would overwrite {tau_dir.name}")
+        configs[tau_dir] = _solver_config(args, tau)
+    return configs
 
 
-def _write_one_fit(result, scales, out: str, echo: dict, tau: float, nu1, nu2):
+def _write_one_fit(result, scales, tau_dir: Path, echo: dict, nu1, nu2):
     decomposition = None
     if result.rank_estimate >= 1:
         decomposition = extract_factors(result.pi, result.rank_estimate)
-    echo = {**echo, "tau": tau, "nu1": nu1, "nu2": nu2}
-    return write_fit(
-        result, decomposition, _tau_dir(out, tau), scales=scales, config_echo=echo
-    )
+    echo = {**echo, "tau": result.tau, "nu1": nu1, "nu2": nu2}
+    return write_fit(result, decomposition, tau_dir, scales=scales, config_echo=echo)
 
 
 def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
     # every tau's config is checked before any file is read or written
-    configs = [_solver_config(args, tau) for tau in args.taus]
+    configs = _tau_configs(args)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    for cfg in configs:
+    for tau_dir, cfg in configs.items():
         result = admm.fit(data, cfg, scales=scales)
-        _write_one_fit(result, scales, args.out, echo, cfg.tau, args.nu1, args.nu2)
+        _write_one_fit(result, scales, tau_dir, echo, args.nu1, args.nu2)
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
     # the configs, the grid and c1 are checked before any file is read or written
-    configs = [_solver_config(args, tau) for tau in args.taus]
+    configs = _tau_configs(args)
     grid = _grid(args)
     check_c1(args.c1)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
-    for cfg in configs:
+    for tau_dir, cfg in configs.items():
         report = grid_search(data, grid, cfg, c1=args.c1, scales=scales)
         write_csv(
-            _tau_dir(args.out, cfg.tau) / "selection.csv",
+            tau_dir / "selection.csv",
             ([row.nu1, row.nu2, row.bic, row.sparsity, row.rank, row.objective,
               int(row.converged)] for row in report.table),
             ["nu1", "nu2", "bic", "sparsity", "rank", "objective", "converged"],
         )
-        _write_one_fit(report.best_fit, scales, args.out, echo, cfg.tau,
-                       report.best_nu1, report.best_nu2)
+        _write_one_fit(report.best_fit, scales, tau_dir, echo, report.best_nu1, report.best_nu2)
     return 0
 
 
@@ -259,7 +263,7 @@ def cli_main(argv) -> int:
     echo = {key: value for key, value in vars(args).items() if key != "out"}
     try:
         return _COMMANDS[args.command](args, echo)
-    except (PanelFormatError, FileNotFoundError) as exc:
+    except (PanelFormatError, OSError) as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except QuantfactorError as exc:

@@ -50,7 +50,7 @@ class EmptyFile(PanelFormatError):
 
 
 class ParseError(PanelFormatError):
-    """A panel file cell could not be parsed."""
+    """A panel or matrix file could not be parsed: header, cell, row width or encoding."""
 
 
 class DuplicateCell(PanelFormatError):

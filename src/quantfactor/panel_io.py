@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ from .panel import ColumnScales, PanelData, QuantileFit
 from .simulate import RNG_ALGORITHM, SimInstance
 
 
+@contextmanager
+def _csv_rows(path: Path):
+    """Numbered rows of a UTF-8 CSV file; text that does not decode is a ParseError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield enumerate(csv.reader(fh), start=1)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def read_panel_csv(path) -> PanelData:
     """Read a balanced long-format panel into dense arrays.
 
@@ -29,14 +40,12 @@ def read_panel_csv(path) -> PanelData:
     cover every period, and every value must be finite.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[:3] != ["unit", "period", "y"]:
+    with _csv_rows(path) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise EmptyFile(f"{path} is empty")
+        header = [h.strip() for h in first[1]]
+        if header[:3] != ["unit", "period", "y"]:
             raise ParseError(
                 f"{path}: header must start with 'unit,period,y', got {header[:3]}"
             )
@@ -48,7 +57,7 @@ def read_panel_csv(path) -> PanelData:
         units: dict[str, int] = {}
         periods: dict[str, int] = {}
         cells: dict[tuple[int, int], tuple[float, list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3 + p:
@@ -125,8 +134,8 @@ def write_matrix_csv(matrix, path):
 def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with _csv_rows(path) as numbered:
+        for lineno, row in numbered:
             if not row:
                 continue
             try:

@@ -428,6 +428,25 @@ class TestResidualDefinitions:
         assert not f.pi.any() and f.rank_estimate == 0
 
 
+class TestStoppingTest:
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "fix_pi_zero"])
+    def test_absolute_tolerances_count_the_constraints(self, pinned):
+        # With tol_rel at 1e-300 only the absolute parts are left: tol_abs
+        # sqrt(k nT + p) for the primal residual and tol_abs sqrt((k - 1) nT + p)
+        # for the dual, with k = 3 consensus constraints, or 2 with Pi pinned.
+        data = random_panel(np.random.default_rng(0), 6, 7, 2)
+        cfg = SolverConfig(tau=0.3, nu1=3e-2, fix_pi_zero=pinned, tol_abs=1e-5,
+                           tol_rel=1e-300, max_iter=20000)
+        k, nt = (2 if pinned else 3), 6 * 7
+        eps_primal = cfg.tol_abs * np.sqrt(k * nt + 2)
+        eps_dual = cfg.tol_abs * np.sqrt((k - 1) * nt + 2)
+        passes = lambda f: f.primal_residual <= eps_primal and f.dual_residual <= eps_dual
+        last = fit(data, cfg)
+        assert last.converged and passes(last)
+        before = fit(data, replace(cfg, max_iter=last.iterations - 1))
+        assert not before.converged and not passes(before)
+
+
 class TestFitNoCovariates:
     def test_zero_input(self):
         f = fit(PanelData.without_covariates(np.zeros((3, 3))), SolverConfig(nu2=0.1))

@@ -348,6 +348,53 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error:ValueError:")
         assert not out.exists()
 
+    @staticmethod
+    def one_error_line(capsys, category):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error:{category}:"), err
+        return err[0]
+
+    @pytest.mark.parametrize("command, flag", [("fit", "--panel"), ("factors", "--pi")])
+    def test_directory_as_input_exits_3(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        rank = ("--rank", 1) if command == "factors" else ()
+        assert run(command, flag, tmp_path, *rank, "--out", out) == 3
+        self.one_error_line(capsys, "IsADirectoryError")
+        assert not out.exists()
+
+    def test_file_as_out_exits_3(self, tmp_path, capsys):
+        panel = simulate_small(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        assert run("fit", "--panel", panel, "--max-iter", 50, "--out", out) == 3
+        self.one_error_line(capsys, "NotADirectoryError")
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["fit", "factors"])
+    def test_text_that_is_not_utf8_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "in.csv"
+        if command == "fit":
+            path.write_bytes(b"unit,period,y,x1\nu1,t1,1,\xff\xfe\n")
+            args = ("fit", "--panel", path)
+        else:
+            path.write_bytes(b"1,\xff\xfe\n")
+            args = ("factors", "--pi", path, "--rank", 1)
+        out = tmp_path / "out"
+        assert run(*args, "--out", out) == 3
+        assert "not valid UTF-8" in self.one_error_line(capsys, "ParseError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_taus_sharing_a_directory_exit_2_before_the_panel_is_read(self, tmp_path,
+                                                                      capsys, command):
+        # the panel is missing, so reading it first would exit 3
+        out = tmp_path / command
+        assert run(command, "--panel", tmp_path / "missing.csv", "--tau", "0.1,0.1000001",
+                   "--out", out) == 2
+        assert "tau_0.1" in self.one_error_line(capsys, "ValueError")
+        assert not out.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert run() == 2
         assert run("fit") == 2  # --panel is required

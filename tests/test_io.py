@@ -88,6 +88,18 @@ class TestReadPanelCsv:
             read_panel_csv(path)
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("reader, text", [
+        (read_panel_csv, b"unit,period,y,x1\nu1,t1,1,\xff\xfe\n"),
+        (read_matrix_csv, b"1,\xff\xfe\n"),
+    ], ids=["panel", "matrix"])
+    def test_bytes_that_do_not_decode_are_a_parse_error(self, tmp_path, reader, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            reader(path)
+
+
 class TestRoundTrips:
     def test_panel_roundtrip_is_exact(self, tmp_path):
         inst = generate(DesignSpec("D2", 6, 7, 3, seed=31))
