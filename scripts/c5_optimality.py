@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from quantfactor import (
-    GramCache,
     SolverConfig,
     TuningGrid,
     compute_column_scales,
@@ -38,11 +37,11 @@ TIGHT = replace(CONFIG, tol_abs=1e-10, tol_rel=1e-10, max_iter=200000)
 REPS = 20
 
 
-def grid_errors(inst, grid, cfg0, scales, gram):
+def grid_errors(inst, grid, cfg0, scales):
     """Quantile error and convergence of every warm-started grid fit."""
     rows = []
     for cfg, state in grid_path(inst.data, grid.nu1_values, grid.nu2_values, cfg0):
-        f = fit(inst.data, cfg, scales=scales, init=state, gram=gram)
+        f = fit(inst.data, cfg, scales=scales, init=state)
         est = inst.data.x @ f.theta + f.pi
         rows.append((cfg.nu1, cfg.nu2, quantile_error(inst.true_median_surface, est),
                      f.converged))
@@ -63,24 +62,21 @@ def main():
     for rep in range(REPS):
         inst = generate(DesignSpec("D1", 100, 100, 5, seed=100 + rep))
         scales = compute_column_scales(inst.data)
-        gram = GramCache(inst.data)
 
-        rows = grid_errors(inst, grid, CONFIG, scales, gram)
+        rows = grid_errors(inst, grid, CONFIG, scales)
         n_fits += len(rows)
         n_conv += sum(r[3] for r in rows)
         nu1, nu2, q, _ = oracle(rows)
 
-        tight = fit(inst.data, replace(TIGHT, nu1=nu1, nu2=nu2), scales=scales,
-                    gram=gram)
+        tight = fit(inst.data, replace(TIGHT, nu1=nu1, nu2=nu2), scales=scales)
         assert tight.converged, f"rep {rep}: tight refit did not converge"
         q_t = quantile_error(inst.true_median_surface,
                              inst.data.x @ tight.theta + tight.pi)
 
         l1qr = oracle(grid_errors(
-            inst, grid, replace(CONFIG, fix_pi_zero=True), scales, gram))[2]
+            inst, grid, replace(CONFIG, fix_pi_zero=True), scales))[2]
         shrunk = oracle(grid_errors(
-            inst, TuningGrid(grid.nu1_values, np.array([2e-3])), CONFIG,
-            scales, gram))[2]
+            inst, TuningGrid(grid.nu1_values, np.array([2e-3])), CONFIG, scales))[2]
 
         q_grid.append(q)
         q_tight.append(q_t)

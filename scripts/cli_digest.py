@@ -5,17 +5,19 @@ rank-zero fit, a missing panel, three data errors: a directory as --panel, a
 panel that is not UTF-8 and a file as --out, and four usage errors: --loss
 squared at two taus other than 0.5, --tol-rel nan, --nu2 inf, and taus 0.1 and
 0.1000001, which share one tau_0.1 directory), tune (explicit grid; default
-grid with --c1; --fix-pi-zero; and three usage errors: --c1 nan, and on a
+grid with --c1; --fix-pi-zero; three usage errors: --c1 nan, and on a
 missing panel an ascending --grid-nu1 and --c1 nan, which must be found before
-the panel is read), factors (rank 2, rank 0, a usage error, and a directory as
---pi, a data error), bench (three methods with --oracle), bench --max-iter 1,
-bench --loss squared (a usage error) and a 4-rep bench in which l1qr fails
-rep 1, through `cli_main`, in a temporary working directory with relative --out
-and --panel paths, so the summary.json config echo is the same wherever the
-script runs.  The directory `a_directory`, the non-UTF-8 panel `not_utf8.csv`
-and the file `out_file` are made there first.  It prints the exit code of each
-call, or the name of an exception that escaped `cli_main`, then
-"sha256  relative/path" for every file under that directory.
+the panel is read; and the default grid with an --out below the file
+`out_file`, a data error found before any fit), factors (rank 2, rank 0, a
+usage error, and a directory as --pi, a data error), bench (three methods with
+--oracle), bench --max-iter 1, bench --loss squared (a usage error), a 4-rep
+bench in which l1qr fails rep 1, and bench --methods l1qr,l1qr (a usage error
+that writes nothing), through `cli_main`, in a temporary working directory
+with relative --out and --panel paths, so the summary.json config echo is the
+same wherever the script runs.  The directory `a_directory`, the non-UTF-8
+panel `not_utf8.csv` and the file `out_file` are made there first.  It prints
+the exit code of each call, or the name of an exception that escaped
+`cli_main`, then "sha256  relative/path" for every file under that directory.
 
 Two source trees write the same bytes when their digests agree, e.g. a parent
 checkout against this one, run from the repository root:
@@ -62,6 +64,7 @@ CALLS = [
      "--c1", "nan", "--out", "tune_c1_nan"],
     ["tune", "--panel", "missing.csv", "--grid-nu1", "1e-3,1e-2", "--out", "tune_grid_up"],
     ["tune", "--panel", "missing.csv", "--c1", "nan", "--out", "tune_c1_missing"],
+    ["tune", "--panel", "sim1/panel.csv", "--out", "out_file/tune_out_file"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "2", "--out", "factors"],
     ["factors", "--pi", "fit_taus/tau_0.25/pi.csv", "--rank", "0", "--out", "factors_rank0"],
     ["factors", "--pi", "a_directory", "--rank", "1", "--out", "factors_pi_dir"],
@@ -74,6 +77,8 @@ CALLS = [
     ["bench", "--design", "D1", "--n", "10", "--p", "2", "--T", "12", "--reps", "4",
      "--grid-nu1", "1e-3", "--grid-nu2", "1e-2", "--methods", "l1nnqr,l1qr",
      "--max-iter", "1000", "--out", "bench_partial"],
+    ["bench", *BENCH, "--methods", "l1qr,l1qr", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
+     "--out", "bench_methods_twice"],
 ]
 
 

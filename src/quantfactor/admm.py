@@ -60,7 +60,7 @@ class AdmmState:
 
 
 class GramCache:
-    """Cholesky factorization of (sum_it X_it X_it' + I_p), shared across fits.
+    """Cholesky factorization of (sum_it X_it X_it' + I_p), built by each fit for its sweeps.
 
     The matrix is symmetric positive definite by construction, so the
     factorization always exists.
@@ -119,7 +119,6 @@ def fit(
     config: SolverConfig,
     scales: ColumnScales | None = None,
     init: AdmmState | None = None,
-    gram: GramCache | None = None,
 ) -> QuantileFit:
     """Solve the penalized panel regression at one (nu1, nu2) pair.
 
@@ -140,8 +139,6 @@ def fit(
         Warm start, advanced in place: on return it holds the final iterates,
         which grid search reuses, and the eta used.  A state whose eta is set
         and differs from this fit's has its scaled duals rescaled by old/new.
-    gram : GramCache, optional
-        Shared factorization of (sum X X' + I); computed when omitted.
 
     Returns
     -------
@@ -166,8 +163,7 @@ def fit(
         scales = compute_column_scales(data)
     if scales.p != data.p:
         raise DimensionMismatch("scales do not match the number of covariates")
-    if gram is None:
-        gram = GramCache(data)
+    gram = GramCache(data)
 
     n, t_len, p = data.n, data.t_len, data.p
     nt = n * t_len

@@ -29,7 +29,7 @@ from .panel_io import (
 )
 from .selection import TuningGrid, check_c1, grid_search
 from .simulate import DESIGNS, DesignSpec, generate
-from .metrics import run_monte_carlo
+from .metrics import check_monte_carlo, run_monte_carlo
 
 
 def _str_list(text: str):
@@ -152,6 +152,15 @@ def _tau_configs(args: argparse.Namespace) -> dict[Path, SolverConfig]:
     return configs
 
 
+def _check_out(out: str) -> None:
+    """Raise NotADirectoryError unless --out, or its nearest existing ancestor, is a directory."""
+    path = Path(out)
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+
+
 def _write_one_fit(result, scales, tau_dir: Path, echo: dict, nu1, nu2):
     decomposition = None
     if result.rank_estimate >= 1:
@@ -161,8 +170,9 @@ def _write_one_fit(result, scales, tau_dir: Path, echo: dict, nu1, nu2):
 
 
 def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
-    # every tau's config is checked before any file is read or written
+    # every tau's config, then --out, is checked before any file is read or written
     configs = _tau_configs(args)
+    _check_out(args.out)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
     for tau_dir, cfg in configs.items():
@@ -172,10 +182,11 @@ def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
-    # the configs, the grid and c1 are checked before any file is read or written
+    # the configs, the grid, c1, then --out are checked before any file is read or written
     configs = _tau_configs(args)
     grid = _grid(args)
     check_c1(args.c1)
+    _check_out(args.out)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
     for tau_dir, cfg in configs.items():
@@ -217,8 +228,12 @@ def _cmd_bench(args: argparse.Namespace, echo: dict) -> int:
     spec = DesignSpec(args.design, args.n, args.t_len, args.p, args.seed)
     # the Monte Carlo errors are scored against the median surface
     base = _solver_config(args, 0.5)
+    # the settings, then --out, are checked before the Monte Carlo runs
+    grid = _grid(args)
+    check_monte_carlo(args.methods, args.reps, args.c1)
+    _check_out(args.out)
     reports = run_monte_carlo(
-        spec, args.methods, _grid(args), args.reps,
+        spec, args.methods, grid, args.reps,
         oracle_tuning=args.oracle, base_config=base, c1=args.c1,
     )
     out_dir = Path(args.out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import GramCache, fit, support_mask
+from .admm import fit, support_mask
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
 from .panel import SolverConfig, compute_column_scales
 from .selection import TuningGrid, bic_pick, bic_score, check_c1, grid_path
@@ -112,13 +112,12 @@ def evaluate_rep(
     check_c1(c1)
     data = inst.data
     scales = compute_column_scales(data)
-    gram = GramCache(data)
     cfg0 = _method_config(method, base_config)
     converged_errs = []
 
     def points():
         for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, cfg0):
-            result = fit(data, cfg, scales=scales, init=state, gram=gram)
+            result = fit(data, cfg, scales=scales, init=state)
             est_surface = data.x @ result.theta + result.pi
             errs = (theta_error_scaled(result.theta, inst.theta_true),
                     quantile_error(inst.true_median_surface, est_surface))
@@ -138,6 +137,22 @@ def evaluate_rep(
     )
 
 
+def check_monte_carlo(methods, reps: int, c1: float | None) -> list:
+    """The methods as a list, or ValueError on reps < 1, a bad c1, or an unknown or
+    repeated method (which would fit every rep twice and report it twice).
+    """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    check_c1(c1)
+    methods = list(methods)
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {sorted(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"each method may be named once, got {methods}")
+    return methods
+
+
 def run_monte_carlo(
     spec: DesignSpec,
     methods,
@@ -155,13 +170,7 @@ def run_monte_carlo(
 
     Returns a list of McReport, one per method, in the order given.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    check_c1(c1)
-    methods = list(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {sorted(METHODS)}")
+    methods = check_monte_carlo(methods, reps, c1)
     if base_config is None:
         base_config = SolverConfig()
 

@@ -96,7 +96,7 @@ class SolverConfig:
     nu1, nu2     l1 and nuclear-norm penalty levels (finite, >= 0)
     eta          ADMM penalty (finite, > 0), or None for 10 / (nT), which suits a
                  response near unit scale; affects the path, not the optimum
-    max_iter     sweep budget
+    max_iter     sweep budget, an integer >= 1
     tol_abs/rel  combined absolute/relative stopping tolerances (finite, > 0)
     loss         "quantile" or "squared"; squared loss fits the mean, so it takes
                  tau = 0.5 only
@@ -122,8 +122,9 @@ class SolverConfig:
                              f"nu1={self.nu1}, nu2={self.nu2}")
         if self.eta is not None and not 0.0 < self.eta < np.inf:
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (0.0 < self.tol_abs < np.inf and 0.0 < self.tol_rel < np.inf):
             raise ValueError(f"tolerances must be positive and finite, got "
                              f"tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmState, GramCache, fit
+from .admm import AdmmState, fit
 from .errors import AllFitsFailed
 from .panel import (
     ColumnScales,
@@ -52,7 +52,7 @@ def _default_nu2():
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Penalty grids, sorted descending so warm starts relax gradually."""
+    """Penalty grids, one-dimensional and sorted descending so warm starts relax gradually."""
 
     nu1_values: np.ndarray = field(default_factory=_default_nu1)
     nu2_values: np.ndarray = field(default_factory=_default_nu2)
@@ -60,6 +60,8 @@ class TuningGrid:
     def __post_init__(self):
         for name in ("nu1_values", "nu2_values"):
             vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if vals.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {vals.shape}")
             if vals.size == 0:
                 raise ValueError(f"{name} must be nonempty")
             if not np.all((vals > 0) & (vals < np.inf)):
@@ -179,12 +181,11 @@ def grid_search(
     check_c1(c1)
     if scales is None:
         scales = compute_column_scales(data)
-    gram = GramCache(data)
     rows = []
 
     def points():
         for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, config):
-            result = fit(data, cfg, scales=scales, init=state, gram=gram)
+            result = fit(data, cfg, scales=scales, init=state)
             row = SelectionRow(
                 nu1=cfg.nu1,
                 nu2=cfg.nu2,

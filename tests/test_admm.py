@@ -33,10 +33,9 @@ def random_panel(rng, n, t_len, p):
 def one_sweep_fits(data, config, state, max_sweeps, scales=None):
     """Advance state one sweep per fit; stop after the first converged fit."""
     one = replace(config, max_iter=1)
-    gram = GramCache(data)
     fits = []
     while len(fits) < max_sweeps and not (fits and fits[-1].converged):
-        fits.append(fit(data, one, scales, init=state, gram=gram))
+        fits.append(fit(data, one, scales, init=state))
     return fits
 
 

@@ -371,6 +371,48 @@ class TestErrorPaths:
         self.one_error_line(capsys, "NotADirectoryError")
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["fit", "tune", "bench"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_file_as_out_exits_3_before_any_read_or_fit(self, tmp_path, capsys,
+                                                         monkeypatch, command, below):
+        import quantfactor.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("reached after --out was found not to be a directory")
+
+        monkeypatch.setattr(cli, "read_panel_csv", never)
+        monkeypatch.setattr(cli, "run_monte_carlo", never)
+        out_file = tmp_path / "out.txt"
+        out_file.write_text("kept\n")
+        out = out_file / "sub" if below else out_file
+        if command == "bench":
+            args = ("bench", "--n", 8, "--p", 2, "--T", 9, "--reps", 1)
+        else:
+            args = (command, "--panel", tmp_path / "panel.csv")
+        assert run(*args, "--out", out) == 3
+        assert "out.txt" in self.one_error_line(capsys, "NotADirectoryError")
+        assert sorted(tmp_path.iterdir()) == [out_file]
+        assert out_file.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["fit", "tune", "bench"])
+    def test_bad_setting_exits_2_before_out_is_checked(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        if command == "bench":
+            args = ("bench", "--n", 8, "--p", 2, "--T", 9, "--reps", 0)
+        else:
+            args = (command, "--panel", tmp_path / "panel.csv", "--tau", "1.5")
+        assert run(*args, "--out", out) == 2
+        self.one_error_line(capsys, "ValueError")
+
+    def test_repeated_method_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run("bench", "--n", 8, "--p", 2, "--T", 9, "--reps", 1,
+                   "--methods", "l1qr,l1qr", "--grid-nu1", "1e-3", "--grid-nu2", "1e-2",
+                   "--out", out) == 2
+        assert "once" in self.one_error_line(capsys, "ValueError")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "factors"])
     def test_text_that_is_not_utf8_exits_3(self, tmp_path, capsys, command):
         path = tmp_path / "in.csv"

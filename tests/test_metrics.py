@@ -234,6 +234,18 @@ class TestMonteCarlo:
             run_monte_carlo(spec, ["l1qr"], self.grid(), reps=1,
                             base_config=self.config(), c1=c1)
 
+    def test_repeated_method_rejected_before_any_rep(self, monkeypatch):
+        import quantfactor.metrics as metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("a rep was generated before the methods were checked")
+
+        monkeypatch.setattr(metrics, "generate", never)
+        spec = DesignSpec("D1", 8, 8, 2, seed=24)
+        with pytest.raises(ValueError, match="once"):
+            run_monte_carlo(spec, ["l1qr", "l1nnqr", "l1qr"], self.grid(), reps=1,
+                            base_config=self.config())
+
     def test_unknown_method_rejected(self):
         spec = DesignSpec("D1", 5, 5, 2, seed=24)
         with pytest.raises(ValueError):

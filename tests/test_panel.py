@@ -211,6 +211,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{name: bad})
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, True], ids=["fraction", "nan", "bool"])
+    def test_max_iter_must_be_an_integer(self, bad):
+        # fit sweeps range(1, max_iter + 1): a float there is a TypeError mid-run
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=bad)
+
+    def test_max_iter_takes_numpy_integers(self):
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
     @pytest.mark.parametrize("tau", [0.25, 0.75])
     def test_squared_loss_takes_only_the_median(self, tau):
         # squared loss fits the mean, whatever tau says

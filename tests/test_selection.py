@@ -53,6 +53,12 @@ class TestTuningGrid:
         with pytest.raises(ValueError, match="finite"):
             TuningGrid(**{name: np.array([bad, 1e-2])})
 
+    @pytest.mark.parametrize("name", ["nu1_values", "nu2_values"])
+    def test_grid_of_two_dimensions_rejected(self, name):
+        # grid_search would take its first row as one penalty and fail at the first fit
+        with pytest.raises(ValueError, match="one-dimensional"):
+            TuningGrid(**{name: np.array([[1e-3, 1e-4]])})
+
 
 class TestEstimators:
     def test_sparsity_zero_vector(self):
