@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch, NonFiniteIterate
 from .panel import (
@@ -69,11 +70,16 @@ class GramCache:
     def __init__(self, data: PanelData):
         self.x_flat = np.ascontiguousarray(data.x.reshape(data.n * data.t_len, data.p))
         gram = self.x_flat.T @ self.x_flat + np.eye(data.p)
-        self._factor = cho_factor(gram)
+        self._chol, self._lower = cho_factor(gram)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (Gram + I) theta = b; a non-finite b is left to fit's residual test."""
-        return cho_solve(self._factor, b, check_finite=False)
+        if b.size == 0:
+            return b  # f2py rejects a 0 x 0 dpotrs
+        theta, info = dpotrs(self._chol, b, lower=self._lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return theta
 
     def xt_dot(self, mat: np.ndarray) -> np.ndarray:
         """sum_it X_it * mat_it, an R^p vector."""
@@ -168,7 +174,6 @@ def fit(
     n, t_len, p = data.n, data.t_len, data.p
     nt = n * t_len
     y = data.y
-    x = data.x
     # The pinball prox moves V by at most 1/(nT eta) a sweep: 0.1 at the default.
     eta = config.eta if config.eta is not None else 10.0 / nt
     s = init if init is not None else AdmmState.zeros(n, t_len, p, eta)
@@ -224,7 +229,7 @@ def fit(
             s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
 
             # (Z_Pi, W): the consensus projection reads no dual; pinned, only W moves.
-            xth_minus_y = x @ s.theta - y
+            xth_minus_y = (gram.x_flat @ s.theta).reshape(n, t_len) - y
             if fix_pi:
                 s.w = (v - xth_minus_y) / 2.0
             else:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .admm import fit, support_mask
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
-from .panel import SolverConfig, compute_column_scales
+from .panel import SolverConfig, check_count, compute_column_scales
 from .selection import TuningGrid, bic_pick, bic_score, check_c1, grid_path
 from .simulate import DesignSpec, SimInstance, generate
 
@@ -138,11 +138,11 @@ def evaluate_rep(
 
 
 def check_monte_carlo(methods, reps: int, c1: float | None) -> list:
-    """The methods as a list, or ValueError on reps < 1, a bad c1, or an unknown or
-    repeated method (which would fit every rep twice and report it twice).
+    """The methods as a list, or ValueError on reps that is not an integer >= 1, a bad
+    c1, or an unknown or repeated method (which would fit every rep twice and report it
+    twice).
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    check_count("reps", reps, 1)
     check_c1(c1)
     methods = list(methods)
     for m in methods:

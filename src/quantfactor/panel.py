@@ -88,6 +88,15 @@ class ColumnScales:
         return self.sigma_hat.size
 
 
+def check_count(name: str, value, least: int):
+    """Raise ValueError unless value is a Python or numpy integer, not a bool, >= least.
+
+    A float fails even when whole, and NaN with it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters of one penalized quantile fit.
@@ -122,9 +131,7 @@ class SolverConfig:
                              f"nu1={self.nu1}, nu2={self.nu2}")
         if self.eta is not None and not 0.0 < self.eta < np.inf:
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_count("max_iter", self.max_iter, 1)
         if not (0.0 < self.tol_abs < np.inf and 0.0 < self.tol_rel < np.inf):
             raise ValueError(f"tolerances must be positive and finite, got "
                              f"tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsyevd, dsyevd_lwork, dsyevr, dsyevr_lwork
 
 from .errors import LengthMismatch, NonFiniteInput, SvdFailure
 
@@ -21,6 +22,10 @@ PARTIAL_RANK_FRACTION = 0.1
 # ||m||_F^2 >= sigma_1^2; below that the dense SVD keeps the result exact.
 PARTIAL_MIN_THRESHOLD_SQ = 1e-10
 
+# sigma_1^2 <= ||m||_F^2, so below this fraction of threshold^2 every singular
+# value shrinks to zero; the margin covers the rounding of dsyrk and evr.
+ZERO_MAX_NORM_SQ = 1.0 - 1e-8
+
 
 @dataclass(frozen=True)
 class SvtResult:
@@ -28,8 +33,9 @@ class SvtResult:
 
     Both spectra have length min(n, T) and are sorted descending.  On the Gram
     route singular_values_before holds only the values above the threshold,
-    then zeros; on the dense route it is the whole spectrum.
-    singular_values_after is exact on either route.
+    then zeros; on the zero route, where ||m||_F falls below the threshold, it
+    is all zeros; on the dense route it is the whole spectrum.
+    singular_values_after is exact on every route.
     """
 
     matrix: np.ndarray
@@ -43,7 +49,7 @@ def prox_pinball(a, tau: float, kappa: float):
     Two-sided shrinkage: a - tau*kappa above the dead zone, a + (1-tau)*kappa
     below it, 0 inside [-(1-tau)*kappa, tau*kappa].
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
@@ -55,7 +61,7 @@ def prox_pinball(a, tau: float, kappa: float):
 
 def prox_squared(a, eta: float, n_times_t: int):
     """Elementwise minimizer of (1/nT) v^2 + (eta/2) (v - a)^2."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     a = np.asarray(a, dtype=float)
     return a * (eta / (eta + 2.0 / n_times_t))
@@ -70,35 +76,51 @@ def soft_threshold(v, thresholds):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+@cache
+def _workspace(query, order: int) -> tuple[int, int]:
+    """(lwork, liwork) for one eigensolver at one order; scipy's eigh reruns this per call."""
+    work, iwork, info = query(order, lower=0)
+    if info != 0:
+        raise SvdFailure(f"LAPACK's workspace query failed at order {order} (info {info})")
+    return int(work), int(iwork)
+
+
 def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) -> SvtResult:
     """Shrink every singular value of m by threshold, clipping at zero.
 
-    Exact minimizer of threshold * ||P||_* + 0.5 * ||P - m||_F^2.  When
-    threshold^2 > PARTIAL_MIN_THRESHOLD_SQ * ||m||_F^2 it takes the
-    eigenpairs (sigma^2, Q) of the short-side Gram matrix above threshold^2
-    and returns P = Q diag((sigma - threshold) / sigma) Q' m (or m Q ... Q'
-    for tall m).  A rank_hint at most PARTIAL_RANK_FRACTION * min(n, T) asks
-    LAPACK for those pairs alone; no hint or a larger one takes all pairs.
-    The hint picks the solver, never the result.  At or below that threshold,
-    threshold 0 included, it takes a dense SVD.  SvtResult says what each
-    route records.
+    Exact minimizer of threshold * ||P||_* + 0.5 * ||P - m||_F^2, by one of
+    three routes, decided in this order from ||m||_F^2:
+    - dense: at threshold^2 <= PARTIAL_MIN_THRESHOLD_SQ * ||m||_F^2, threshold 0
+      included, a dense SVD keeps the result exact;
+    - zero: at ||m||_F^2 < ZERO_MAX_NORM_SQ * threshold^2 every singular value
+      is below the threshold, and P = 0 with no factorization;
+    - Gram: otherwise LAPACK's dsyevr or dsyevd gives the eigenpairs
+      (sigma^2, Q) of the short-side Gram matrix above threshold^2, and
+      P = Q diag((sigma - threshold) / sigma) Q' m (or m Q ... Q' for tall m).
+      A rank_hint at most PARTIAL_RANK_FRACTION * min(n, T) asks dsyevr for
+      those pairs alone; no hint or a larger one takes all pairs from dsyevd.
+      The hint picks the solver, never the result.
+    SvtResult says what each route records.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise NonFiniteInput("singular_value_threshold input contains non-finite entries")
     thr_sq = threshold * threshold
-    # The cut is decided before the Gram matrix exists, by numpy's elementwise
+    # The route is decided before the Gram matrix exists, by numpy's elementwise
     # sum rather than a BLAS call, so the dense SVD never follows a call into
     # scipy's BLAS pool (see the Gram matrix's comment).
-    if thr_sq <= PARTIAL_MIN_THRESHOLD_SQ * np.sum(m * m):
+    norm_sq = np.sum(m * m)
+    if thr_sq <= PARTIAL_MIN_THRESHOLD_SQ * norm_sq:
         try:
             u, s, vt = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise SvdFailure(f"SVD did not converge on a {m.shape} matrix") from exc
         s_after = np.maximum(s - threshold, 0.0)
         return SvtResult((u * s_after) @ vt, s, s_after)
+    if norm_sq < ZERO_MAX_NORM_SQ * thr_sq:
+        return SvtResult(np.zeros(m.shape), np.zeros(min(m.shape)), np.zeros(min(m.shape)))
 
     n, t_len = m.shape
     wide = n <= t_len
@@ -106,17 +128,25 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
     # and scipy each load their own threaded OpenBLAS, and a numpy product
     # right before the scipy solve leaves numpy's workers spinning against
     # scipy's, which made this route ten times slower on two threads.  dsyrk
-    # fills the upper triangle only, the one eigh reads with lower=False.
+    # fills the upper triangle only, the one the eigensolvers read with lower=0.
+    # Only a finite ||m||_F^2 gets here (an infinite one took the dense SVD), so
+    # the Gram matrix is finite and needs no check before LAPACK; it is ours to
+    # overwrite.
     gram = dsyrk(1.0, m.T, trans=1 if wide else 0)
-    few = rank_hint is not None and rank_hint <= PARTIAL_RANK_FRACTION * min(n, t_len)
-    try:
-        if few:
-            w, q = eigh(gram, lower=False, subset_by_value=(thr_sq, np.inf), driver="evr")
-        else:
-            w, q = eigh(gram, lower=False, driver="evd")
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure(f"eigh did not converge on a {gram.shape} Gram matrix") from exc
-    # evd returns every pair: keep those above threshold^2, largest first.
+    order = gram.shape[0]
+    if rank_hint is not None and rank_hint <= PARTIAL_RANK_FRACTION * min(n, t_len):
+        lwork, liwork = _workspace(dsyevr_lwork, order)
+        w, q, found, _, info = dsyevr(gram, range="V", lower=0, vl=thr_sq, vu=np.inf,
+                                      lwork=lwork, liwork=liwork, overwrite_a=1)
+        w, q = w[:found], q[:, :found]
+    else:
+        lwork, liwork = _workspace(dsyevd_lwork, order)
+        w, q, info = dsyevd(gram, lower=0, lwork=lwork, liwork=liwork, overwrite_a=1)
+    if info != 0:
+        raise SvdFailure(f"LAPACK's eigensolver failed on a {order} x {order} Gram matrix "
+                         f"(info {info})")
+    # Ascending pairs, and dsyevd returns every one: keep those above
+    # threshold^2, largest first.
     keep = w > thr_sq
     w, q = w[keep][::-1], q[:, keep][:, ::-1]
     k = w.size

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import PanelData
+from .panel import PanelData, check_count
 
 DESIGNS = ("D1", "D2", "D3", "D4")
 
@@ -41,10 +41,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
-        if self.n < 1 or self.t_len < 1 or self.p < 1:
-            raise ValueError("n, t_len, p must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name in ("n", "t_len", "p"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from quantfactor import (
     AdmmState,
@@ -93,6 +94,19 @@ class TestGramCache:
             b = rng.standard_normal(3)
             sol = cache.solve(b)
             np.testing.assert_allclose(gram @ sol, b, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 20])
+    def test_solve_matches_cho_solve_bit_for_bit(self, p):
+        rng = np.random.default_rng(33)
+        cache = GramCache(random_panel(rng, 25, 12, p))
+        factor = cho_factor(cache.x_flat.T @ cache.x_flat + np.eye(p))
+        for _ in range(5):
+            b = rng.standard_normal(p)
+            np.testing.assert_array_equal(cache.solve(b), cho_solve(factor, b))
+
+    def test_solve_without_covariates_returns_an_empty_vector(self):
+        cache = GramCache(random_panel(np.random.default_rng(34), 4, 6, 0))
+        assert cache.solve(np.zeros(0)).shape == (0,)
 
 
 class TestFit:

@@ -246,6 +246,19 @@ class TestMonteCarlo:
             run_monte_carlo(spec, ["l1qr", "l1nnqr", "l1qr"], self.grid(), reps=1,
                             base_config=self.config())
 
+    @pytest.mark.parametrize("reps", [1.5, 2.0, np.nan, True, 0])
+    def test_reps_that_is_not_a_positive_integer_rejected_before_any_rep(self, monkeypatch,
+                                                                        reps):
+        import quantfactor.metrics as metrics
+
+        def never(*args, **kwargs):
+            raise AssertionError("a rep was generated before reps was checked")
+
+        monkeypatch.setattr(metrics, "generate", never)
+        spec = DesignSpec("D1", 8, 8, 2, seed=24)
+        with pytest.raises(ValueError, match="reps"):
+            run_monte_carlo(spec, ["l1qr"], self.grid(), reps=reps, base_config=self.config())
+
     def test_unknown_method_rejected(self):
         spec = DesignSpec("D1", 5, 5, 2, seed=24)
         with pytest.raises(ValueError):

@@ -75,6 +75,8 @@ class TestProxPinball:
             prox_pinball(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             prox_pinball(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            prox_pinball(1.0, 0.5, np.nan)
 
 
 class TestProxSquared:
@@ -98,6 +100,11 @@ class TestProxSquared:
             got = prox_squared(a, eta, nt)
             want = oracles.prox_squared_grid(a, eta, nt)
             assert got == pytest.approx(want, abs=2e-5)
+
+    @pytest.mark.parametrize("eta", [np.nan, 0.0])
+    def test_rejects_eta_that_is_not_positive(self, eta):
+        with pytest.raises(ValueError):
+            prox_squared(np.ones(3), eta, 3)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(14)
@@ -204,6 +211,12 @@ class TestSingularValueThreshold:
         with pytest.raises(ValueError):
             singular_value_threshold(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("hint", [None, 0, 5])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_rejects_non_finite_threshold(self, threshold, hint):
+        with pytest.raises(ValueError, match="threshold"):
+            singular_value_threshold(np.eye(2), threshold, hint)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # LAPACK returns a NaN spectrum for the inf case and can loop without
@@ -301,19 +314,56 @@ class TestPartialSvt:
         assert np.abs(res.matrix - want).max() <= 1e-10
         assert np.count_nonzero(res.singular_values_after) == 2
 
-    @pytest.mark.parametrize("owner, name, hint", [(prox, "eigh", 1),
+    @pytest.mark.parametrize("owner, name, hint", [(prox, "dsyevr", 1),
                                                    (np.linalg, "svd", None),
-                                                   (prox, "eigh", None)])
+                                                   (prox, "dsyevd", None)])
     def test_lapack_failure_maps_to_svd_failure(self, monkeypatch, owner, name, hint):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("no convergence")
-
         m, thr = self.case((40, 70), 1, seed=10)
         if name == "svd":
             thr = 0.0  # only a threshold below the exactness cut reaches the SVD
+
+            def fail(*args, **kwargs):
+                raise np.linalg.LinAlgError("no convergence")
+        else:
+            driver = getattr(owner, name)
+
+            def fail(*args, **kwargs):
+                *out, _ = driver(*args, **kwargs)
+                return (*out, 1)  # LAPACK's info > 0: no convergence
+
         monkeypatch.setattr(owner, name, fail)
         with pytest.raises(SvdFailure):
             singular_value_threshold(m, thr, hint)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("hint", [None, 1])
+    @pytest.mark.parametrize("side", [1 + 1e-6, 1 - 1e-6])
+    def test_threshold_at_the_frobenius_norm(self, monkeypatch, shape, hint, side):
+        # sigma_1 <= ||m||_F, so just above the norm every value shrinks to zero
+        # with no factorization; a rank-one m has sigma_1 = ||m||_F, and just
+        # below it the Gram route keeps that one value
+        rng = np.random.default_rng(16)
+        m = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+        thr = side * np.sqrt(np.sum(m * m))
+        calls = []
+
+        def recorded(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for owner, name in ((prox, "dsyevr"), (prox, "dsyevd"), (np.linalg, "svd")):
+            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        if side > 1:
+            res = singular_value_threshold(m, thr, hint)
+            assert calls == []
+            assert res.matrix.shape == shape and not res.matrix.any()
+            for spectrum in (res.singular_values_before, res.singular_values_after):
+                assert spectrum.shape == (min(shape),) and not spectrum.any()
+        else:
+            self.check(m, thr, hint, 1)
+            assert calls[0] == ("dsyevd" if hint is None else "dsyevr")
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("hint", [None, 0, 1, 1000])

@@ -15,6 +15,17 @@ class TestDesignSpec:
         with pytest.raises(ValueError):
             DesignSpec("D1", 10, 10, 2, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n", "t_len", "p", "seed"])
+    @pytest.mark.parametrize("bad", [6.5, 6.0, np.nan, True])
+    def test_counts_must_be_integers(self, field, bad):
+        counts = {"n": 6, "t_len": 6, "p": 2, "seed": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            DesignSpec("D1", **counts)
+
+    def test_counts_take_numpy_integers(self):
+        spec = DesignSpec("D1", np.int64(6), np.int32(5), np.int64(2), seed=np.uint8(0))
+        assert generate(spec).data.y.shape == (6, 5)
+
 
 class TestGenerate:
     def test_cosine_surface_values(self):
