@@ -105,13 +105,15 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
     if not 0.0 <= threshold < np.inf:
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise NonFiniteInput("singular_value_threshold input contains non-finite entries")
-    thr_sq = threshold * threshold
     # The route is decided before the Gram matrix exists, by numpy's elementwise
     # sum rather than a BLAS call, so the dense SVD never follows a call into
-    # scipy's BLAS pool (see the Gram matrix's comment).
+    # scipy's BLAS pool (see the Gram matrix's comment).  A NaN or inf in m makes
+    # the sum non-finite, so only then is m scanned; a finite m whose sum
+    # overflows takes the dense route.
     norm_sq = np.sum(m * m)
+    if not np.isfinite(norm_sq) and not np.isfinite(m).all():
+        raise NonFiniteInput("singular_value_threshold input contains non-finite entries")
+    thr_sq = threshold * threshold
     if thr_sq <= PARTIAL_MIN_THRESHOLD_SQ * norm_sq:
         try:
             u, s, vt = np.linalg.svd(m, full_matrices=False)

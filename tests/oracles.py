@@ -79,3 +79,51 @@ def procrustes_brute(a, b, step=1e-4):
             if d < best:
                 best = d
     return float(best)
+
+
+def penalized_objective(y, x, theta, pi, tau, nu1, nu2, weights):
+    """(1/nT) sum rho_tau(Y - X theta - Pi) + nu1 sum_j w_j |theta_j| + nu2 ||Pi||_*."""
+    resid = y - np.einsum("itp,p->it", x, theta) - pi
+    loss = float(np.mean(pinball_scalar(resid, tau)))
+    nuclear = float(np.sum(np.linalg.svd(pi, compute_uv=False)))
+    return loss + nu1 * float(np.sum(weights * np.abs(theta))) + nu2 * nuclear
+
+
+def dual_lower_bound(y, x, tau, nu1, nu2, weights, g, rounds=20, fix_pi_zero=False):
+    """<G, Y> / nT for a dual-feasible G reached from the candidate g.
+
+    The dual of the penalized pinball problem maximizes <G, Y> / nT over G in
+    [tau - 1, tau] entrywise with |X_j' G| <= nT nu1 w_j for every covariate j
+    and, unless Pi is pinned at zero, ||G||_op <= nT nu2.  By weak duality its
+    value at any feasible G bounds the optimum from below.  The candidate (for
+    an ADMM fit, -nT eta U_V) goes through a fixed number of rounds that clip
+    its singular values, take out the least-squares part of X'G beyond the
+    caps, and clip its entries.  Then it is scaled by the largest factor in
+    [0, 1] that meets every cap; the box holds 0, so it stays in the box.
+    """
+    n, t_len, p = x.shape
+    nt = n * t_len
+    xf = x.reshape(nt, p)
+    l1_cap = nt * nu1 * np.asarray(weights, dtype=float)
+    op_cap = nt * nu2
+    g = np.array(g, dtype=float)
+    for _ in range(rounds):
+        if not fix_pi_zero:
+            u, s, vt = np.linalg.svd(g, full_matrices=False)
+            g = (u * np.minimum(s, op_cap)) @ vt
+        if p:
+            xtg = xf.T @ g.ravel()
+            beyond = xtg - np.clip(xtg, -l1_cap, l1_cap)
+            g = g - (xf @ np.linalg.solve(xf.T @ xf, beyond)).reshape(n, t_len)
+        g = np.clip(g, tau - 1.0, tau)
+    factor = 1.0
+    if p:
+        xtg = np.abs(xf.T @ g.ravel())
+        over = xtg > l1_cap
+        if over.any():
+            factor = float(np.min(l1_cap[over] / xtg[over]))
+    if not fix_pi_zero:
+        top = float(np.linalg.svd(g, compute_uv=False)[0])
+        if top > op_cap:
+            factor = min(factor, op_cap / top)
+    return factor * float(np.sum(g * y)) / nt

@@ -460,6 +460,57 @@ class TestStoppingTest:
         assert not before.converged and not passes(before)
 
 
+
+def poisoned(out, bad):
+    """A copy of a block's array output with its first entry set to bad."""
+    out = np.array(out, dtype=float)
+    out.flat[0] = bad
+    return out
+
+
+class TestNonFiniteGuard:
+    """The primal residual is the one non-finite guard on most sweeps.
+
+    A NaN or inf from any block must raise NonFiniteIterate in the sweep where it
+    appears: each block runs once a sweep, so the error comes on its 3rd call.
+    """
+
+    BLOCKS = {
+        "prox_pinball": (admm, "prox_pinball", poisoned),
+        "GramCache.solve": (GramCache, "solve", poisoned),
+        "singular_value_threshold": (
+            admm, "singular_value_threshold",
+            lambda out, bad: replace(out, matrix=poisoned(out.matrix, bad))),
+        "soft_threshold": (admm, "soft_threshold", poisoned),
+        "solve_zw_joint-w": (admm, "solve_zw_joint",
+                             lambda out, bad: (out[0], poisoned(out[1], bad))),
+        # The projection makes Z_Pi = Pi - e non-finite only through a non-finite Pi
+        # or e, and either makes W = V - e non-finite too (Pi by way of e), so a
+        # non-finite Z_Pi reaches r = V - W in its own sweep.
+        "solve_zw_joint-e": (admm, "solve_zw_joint",
+                             lambda out, bad: tuple(poisoned(o, bad) for o in out)),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    def test_raises_in_the_sweep_it_appears(self, monkeypatch, block, bad):
+        owner, name, poison = self.BLOCKS[block]
+        real = getattr(owner, name)
+        calls = []
+
+        def third_call_poisoned(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            return poison(out, bad) if len(calls) == 3 else out
+
+        monkeypatch.setattr(owner, name, third_call_poisoned)
+        data = random_panel(np.random.default_rng(45), 6, 7, 2)
+        cfg = SolverConfig(tau=0.3, nu1=3e-2, nu2=2e-2, max_iter=50)
+        with pytest.raises(NonFiniteIterate):
+            fit(data, cfg)
+        assert len(calls) == 3
+
+
 class TestFitNoCovariates:
     def test_zero_input(self):
         f = fit(PanelData.without_covariates(np.zeros((3, 3))), SolverConfig(nu2=0.1))
@@ -504,22 +555,95 @@ class TestFitNoCovariates:
         assert f.theta.size == 0
         np.testing.assert_allclose(f.pi, np.zeros((2, 2)), atol=1e-10)
 
-    def test_one_sweep_resumes_reach_the_whole_fit(self):
-        # one-sweep fits that each resume from the state the last one left
-        # reach the whole fit's optimum
+    def test_one_sweep_resumes_reach_the_whole_fit(self, monkeypatch):
+        # one-sweep fits that each resume from the state the last one left test
+        # every sweep, since each is its fit's first and last; they must stop
+        # where the whole fit stops, with its bits, on a p = 0 panel, a p > 0
+        # panel cold and pinned, and a warm start at 4x its state's eta.  A
+        # one-sweep fit has no rank hint, so SVT takes the dense route throughout,
+        # where the hint picks nothing.
+        monkeypatch.setattr(admm, "singular_value_threshold", dense_only_svt)
         rng = np.random.default_rng(41)
-        data = PanelData.without_covariates(rng.standard_normal((5, 6)))
-        cfg = SolverConfig(tau=0.5, nu2=0.05, max_iter=20000)
-        state = AdmmState.zeros(5, 6, 0, cfg.eta)
-        fits = one_sweep_fits(data, cfg, state, cfg.max_iter)
-        whole = fit(data, cfg)
-        assert all(f.iterations == 1 for f in fits) and fits[-1].converged
-        assert len(fits) == whole.iterations
-        np.testing.assert_array_equal(state.pi, fits[-1].pi)
-        assert fits[-1].objective == pytest.approx(whole.objective, rel=1e-9)
+        covariates = random_panel(rng, 6, 7, 2)
+        warm_cfg = SolverConfig(tau=0.3, nu1=3e-2, nu2=2e-2, max_iter=20000)
+        warm = AdmmState.zeros(6, 7, 2, None)
+        fit(covariates, replace(warm_cfg, max_iter=40), init=warm)
+        cases = {
+            "p=0": (PanelData.without_covariates(rng.standard_normal((5, 6))),
+                    SolverConfig(tau=0.5, nu2=0.05, max_iter=20000), None),
+            "p>0": (covariates, warm_cfg, None),
+            "fix_pi_zero": (covariates, replace(warm_cfg, fix_pi_zero=True), None),
+            "eta x 4": (covariates, replace(warm_cfg, eta=4.0 * warm.eta), warm),
+        }
+        for name, (data, cfg, init) in cases.items():
+            whole_state = copy.deepcopy(init)
+            state = (copy.deepcopy(init) if init is not None
+                     else AdmmState.zeros(data.n, data.t_len, data.p, cfg.eta))
+            fits = one_sweep_fits(data, cfg, state, cfg.max_iter)
+            whole = fit(data, cfg, init=whole_state)
+            assert all(f.iterations == 1 for f in fits) and fits[-1].converged, name
+            assert len(fits) == whole.iterations, name
+            last = fits[-1]
+            np.testing.assert_array_equal(last.theta, whole.theta, err_msg=name)
+            np.testing.assert_array_equal(last.pi, whole.pi, err_msg=name)
+            assert (last.primal_residual, last.dual_residual) == (
+                whole.primal_residual, whole.dual_residual), name
+            assert last.objective == whole.objective, name
 
     def test_rejects_non_finite(self):
         y = np.zeros((2, 2))
         y[0, 0] = np.nan
         with pytest.raises(ValueError):
             fit(PanelData.without_covariates(y), SolverConfig())
+
+
+class TestDualCertificate:
+    """A fit proved near its optimum by weak duality, with numpy alone.
+
+    tests/oracles.py turns -nT eta U_V into a dual-feasible G whose <G, Y> / nT
+    bounds the optimum from below, apart from the package's own code.
+    """
+
+    GAP = 5e-6  # test_matches_cvxpy_reference's tolerance
+    TIGHT = dict(max_iter=60000, tol_abs=1e-10, tol_rel=1e-9)
+
+    @staticmethod
+    def gap(data, cfg, pi_shift=0.0):
+        """Primal objective of the fit, its Pi's first entry moved by pi_shift, less the bound."""
+        scales = compute_column_scales(data)
+        state = AdmmState.zeros(data.n, data.t_len, data.p, None)
+        f = fit(data, cfg, scales, init=state)
+        assert f.converged
+        pi = f.pi.copy()
+        pi[0, 0] += pi_shift
+        args = (cfg.tau, cfg.nu1, cfg.nu2, scales.sigma_hat)
+        primal = oracles.penalized_objective(data.y, data.x, f.theta, pi, *args)
+        if not pi_shift:
+            assert f.objective == pytest.approx(primal, rel=1e-12)
+        bound = oracles.dual_lower_bound(data.y, data.x, *args,
+                                         -data.n * data.t_len * state.eta * state.u_v)
+        # weak duality: no feasible G bounds the objective from above
+        assert bound <= primal + 1e-12
+        return primal - bound
+
+    def cvxpy_instance(self):
+        """test_matches_cvxpy_reference's panel and settings."""
+        inst = generate(DesignSpec("D1", 10, 12, 2, seed=21))
+        return inst.data, SolverConfig(tau=0.4, nu1=5e-3, nu2=2e-2, **self.TIGHT)
+
+    def test_certifies_the_cvxpy_reference_fit(self):
+        assert self.gap(*self.cvxpy_instance()) <= self.GAP
+
+    def test_catches_pi_moved_in_one_entry(self):
+        assert self.gap(*self.cvxpy_instance(), pi_shift=1e-3) > self.GAP
+
+    @pytest.mark.parametrize("name", ["p=0", "tall"])
+    def test_certifies_tight_fits(self, name):
+        if name == "p=0":
+            y = np.random.default_rng(44).standard_normal((8, 10))
+            data, cfg = PanelData.without_covariates(y), SolverConfig(tau=0.3, nu2=2e-2,
+                                                                      **self.TIGHT)
+        else:
+            data = generate(DesignSpec("D1", 60, 8, 3, seed=22)).data
+            cfg = SolverConfig(tau=0.7, nu1=1e-2, nu2=1e-2, **self.TIGHT)
+        assert self.gap(data, cfg) <= self.GAP
