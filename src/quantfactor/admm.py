@@ -33,11 +33,9 @@ from .prox import prox_pinball, prox_squared, singular_value_threshold, soft_thr
 # count as exact zeros when estimating support size and rank.
 ZERO_TOL = 1e-8
 
-# fit forms the primal tolerance, abs + rel * (largest of seven norms), only near the
-# stop.  A sweep whose residual exceeds TOL_REFRESH_RATIO times the last tolerance formed
-# could pass only if that largest norm had more than doubled since, so it fails the test
-# unformed; forming it again every TOL_REFRESH_SWEEPS sweeps bounds how long such growth
-# can go unseen.
+# fit forms the primal tolerance only on a sweep whose residual is within TOL_REFRESH_RATIO
+# times the last one formed, or when that one is TOL_REFRESH_SWEEPS sweeps old; fit's
+# docstring says why the stop stays put.
 TOL_REFRESH_RATIO = 2.0
 TOL_REFRESH_SWEEPS = 10
 
@@ -109,8 +107,15 @@ def estimate_sparsity(theta) -> int:
 
 
 def estimate_rank(singular_values) -> int:
-    """Number of nonzero singular values (SVT produces exact zeros)."""
-    return int(np.sum(support_mask(singular_values)))
+    """Number of nonzero singular values (SVT produces exact zeros).
+
+    Reads a sorted, nonnegative spectrum, as SvtResult holds it: support_mask's
+    floor taken from the first entry.
+    """
+    s = np.asarray(singular_values, dtype=float)
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > ZERO_TOL * max(1.0, s[0])))
 
 
 def solve_zw_joint(a_tilde, b_tilde, c_tilde):
@@ -251,8 +256,7 @@ def fit(
                 svt = singular_value_threshold(s.z_pi - s.u_v, svt_threshold, rank_hint)
                 s.pi = svt.matrix
                 svals = svt.singular_values_after
-                # estimate_rank's count, read off the sorted, nonnegative spectrum.
-                rank_hint = int(np.count_nonzero(svals > ZERO_TOL * max(1.0, svals[0])))
+                rank_hint = estimate_rank(svals)
 
             # Z_theta: soft threshold with the scale-weighted l1 level.
             s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
@@ -272,13 +276,10 @@ def fit(
             s.u_theta = s.u_theta + r_theta
 
             # Any NaN or inf reaches the primal residual: in theta, Pi or V by way of W.
-            # np.add.reduce is np.sum's own reduction without its dispatch: the same bits.
             primal = float(np.sqrt(k * np.add.reduce(r ** 2, None)
                                    + np.add.reduce(r_theta ** 2)))
             if not np.isfinite(primal):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            # The primal test runs near the stop only, the dual test after it passes, and
-            # the last sweep forms both residuals for the report (see TOL_REFRESH_RATIO).
             last = sweep == config.max_iter
             passed = False
             if (last or primal <= TOL_REFRESH_RATIO * eps_primal

@@ -556,12 +556,24 @@ class TestFitNoCovariates:
         np.testing.assert_allclose(f.pi, np.zeros((2, 2)), atol=1e-10)
 
     def test_one_sweep_resumes_reach_the_whole_fit(self, monkeypatch):
-        # one-sweep fits that each resume from the state the last one left test
-        # every sweep, since each is its fit's first and last; they must stop
-        # where the whole fit stops, with its bits, on a p = 0 panel, a p > 0
-        # panel cold and pinned, and a warm start at 4x its state's eta.  A
-        # one-sweep fit has no rank hint, so SVT takes the dense route throughout,
-        # where the hint picks nothing.
+        # one-sweep fits that each resume from the state the last one left
+        # reach the whole fit's optimum
+        rng = np.random.default_rng(41)
+        data = PanelData.without_covariates(rng.standard_normal((5, 6)))
+        cfg = SolverConfig(tau=0.5, nu2=0.05, max_iter=20000)
+        state = AdmmState.zeros(5, 6, 0, cfg.eta)
+        fits = one_sweep_fits(data, cfg, state, cfg.max_iter)
+        whole = fit(data, cfg)
+        assert all(f.iterations == 1 for f in fits) and fits[-1].converged
+        assert len(fits) == whole.iterations
+        np.testing.assert_array_equal(state.pi, fits[-1].pi)
+        assert fits[-1].objective == pytest.approx(whole.objective, rel=1e-9)
+
+        # Each one-sweep fit tests its only sweep, so the chain stops where the
+        # every-sweep rule stops; the whole fit must stop there too, with its
+        # bits, on a p = 0 panel, a p > 0 panel cold and pinned, and a warm start
+        # at 4x its state's eta.  A one-sweep fit has no rank hint, so SVT takes
+        # the dense route throughout, where the hint picks nothing.
         monkeypatch.setattr(admm, "singular_value_threshold", dense_only_svt)
         rng = np.random.default_rng(41)
         covariates = random_panel(rng, 6, 7, 2)
