@@ -5,8 +5,11 @@ BENCHMARK.json) once in each tree on the same seed, one after the other.
 Even pairs run the parent first and odd pairs the change first, so machine
 drift falls on both sides.  The script writes BENCH_<label>.json with every
 run's log and JSON result, and, per workload and end-to-end metric, each
-side's median and quartiles and the number of pairs the change won.  The
-file is rewritten after every run, so an interrupted run keeps what finished.
+side's median and quartiles and the number of pairs the change won.  Each
+run also records the rounds it held (`peak_rss_mb` grows with them, since
+run.py keeps every round's output until its checks), printed beside that
+metric.  The file is rewritten after every run, so an interrupted run keeps
+what finished.
 
 Run from the change tree's root, with the parent checked out elsewhere
 (`git archive <commit> | tar -x -C DIR`):
@@ -69,6 +72,15 @@ def parse_args(argv):
     return args
 
 
+def rounds_held(log) -> int | None:
+    """The rounds in run.py's '..., rounds <wall>, <wall> s' log line; None without one."""
+    for line in log:
+        _, sep, walls = line.rpartition(", rounds ")
+        if sep:
+            return len(walls.split(", "))
+    return None
+
+
 def run_one(tree: Path, command, workload: str, seed: int, seconds, trace: int) -> dict:
     argv = list(command) + ["--workload", workload, "--seed", str(seed),
                             "--seconds", str(seconds), "--trace", str(trace)]
@@ -78,8 +90,10 @@ def run_one(tree: Path, command, workload: str, seed: int, seconds, trace: int) 
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
+    log = [ln for ln in lines if ln.startswith("# ")]
     return {"exit": proc.returncode,
-            "log": [ln for ln in lines if ln.startswith("# ")],
+            "log": log,
+            "rounds": rounds_held(log),
             "stderr": proc.stderr.splitlines()[-5:],
             "result": result}
 
@@ -107,7 +121,8 @@ def summarise(runs, metrics) -> dict:
                                     for p in pairs.values() if s in p) for s in SIDES},
                  "failed_share": {s: sorted({p[s]["result"]["failed"]
                                              / p[s]["result"]["attempted"] for p in complete})
-                                  for s in SIDES}}
+                                  for s in SIDES},
+                 "rounds": {s: [p[s]["rounds"] for p in complete] for s in SIDES}}
         for name, better in metrics.items():
             vals = {s: [p[s]["result"]["metrics"][name]["value"] for p in complete]
                     for s in SIDES}
@@ -176,10 +191,14 @@ def main(argv=None) -> int:
         for name in metrics:
             if name in block:
                 e = block[name]
-                print(f"{workload} {name}: parent {e['parent']['median']:.6g} "
-                      f"[{e['parent']['q1']:.6g}, {e['parent']['q3']:.6g}], change "
-                      f"{e['change']['median']:.6g} [{e['change']['q1']:.6g}, "
-                      f"{e['change']['q3']:.6g}], change wins {e['change_wins']}/{block['pairs']}")
+                line = (f"{workload} {name}: parent {e['parent']['median']:.6g} "
+                        f"[{e['parent']['q1']:.6g}, {e['parent']['q3']:.6g}], change "
+                        f"{e['change']['median']:.6g} [{e['change']['q1']:.6g}, "
+                        f"{e['change']['q3']:.6g}], change wins {e['change_wins']}/{block['pairs']}")
+                if name == "peak_rss_mb":
+                    line += ", rounds " + " / ".join(
+                        ",".join(map(str, block["rounds"][s])) for s in SIDES)
+                print(line)
     print(f"wrote {out}")
     return 0
 

@@ -33,11 +33,10 @@ from .prox import prox_pinball, prox_squared, singular_value_threshold, soft_thr
 # count as exact zeros when estimating support size and rank.
 ZERO_TOL = 1e-8
 
-# fit forms the primal tolerance only on a sweep whose residual is within TOL_REFRESH_RATIO
-# times the last one formed, or when that one is TOL_REFRESH_SWEEPS sweeps old; fit's
-# docstring says why the stop stays put.
-TOL_REFRESH_RATIO = 2.0
-TOL_REFRESH_SWEEPS = 10
+# fit's primal pre-test scales its bound's tolerance by this for rounding: each norm in
+# the bound or in the full test sums at most nT squares, to within about nT ulps, and
+# 1e-9 (4.5e6 ulps) covers that on panels of up to about 4e6 entries.
+BOUND_MARGIN = 1.0 + 1e-9
 
 
 @dataclass
@@ -173,14 +172,12 @@ def fit(
     norm of the last sweep's four violations, k = 3 of them +-(V - W) (pinned, k = 2).
     dual_residual is eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
 
-    Every sweep forms the primal residual, the non-finite guard.  Its tolerance is formed
-    on a fit's first and last sweeps, on a sweep whose residual is at most twice the last
-    tolerance formed, and when that tolerance is 10 sweeps old; the dual residual and its
-    tolerance only on a sweep that passes the primal test, or on the last sweep.  A
-    skipped sweep has primal > 2 x the last tolerance formed.  It could have passed only
-    if the iterates' largest norm more than doubled in under 10 sweeps.  So a fit can stop
-    later than the every-sweep rule but never earlier, and only at a sweep whose full test
-    passed.
+    The stop is the every-sweep test of Boyd et al. (2011, sec. 3.3.1).  With r = V - W the
+    (Z_Pi, W) step leaves Z_Pi = Pi - r and X theta - Y = k r - V - Pi (Pi = 0 pinned), so
+    no n x T norm in the primal tolerance exceeds k ||r|| + ||V|| + ||Pi||.  A sweep whose
+    primal residual fails that bound's tolerance (times BOUND_MARGIN) fails the test; only
+    the others form all seven norms, and only one that passes the primal test, or the
+    last, forms the dual residual.
 
     Raises
     ------
@@ -189,7 +186,9 @@ def fit(
     NonFiniteIterate
         A sweep's primal residual, or a dual residual it forms, is NaN or inf.
     NonFiniteInput
-        A warm start holds NaN or inf where the V prox or SVT reads it.
+        A warm start holds NaN or inf where the pinball prox or SVT reads it.  The squared
+        loss prox checks nothing, so there a NaN in W raises NonFiniteIterate in the first
+        sweep instead.
     """
     if data.p == 0 and config.fix_pi_zero:
         raise ValueError("fix_pi_zero with p = 0 leaves nothing to estimate")
@@ -231,8 +230,6 @@ def fit(
     # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
     # its eigensolver; the first has none.
     rank_hint = None
-    # The last primal tolerance formed and its sweep; none yet, so the first sweep forms one.
-    eps_primal, eps_sweep = np.inf, 0
 
     converged = False
     # The residual test is the non-finite guard; numpy's warnings would repeat it.
@@ -276,18 +273,17 @@ def fit(
             s.u_theta = s.u_theta + r_theta
 
             # Any NaN or inf reaches the primal residual: in theta, Pi or V by way of W.
-            primal = float(np.sqrt(k * np.add.reduce(r ** 2, None)
-                                   + np.add.reduce(r_theta ** 2)))
+            r_sq = np.add.reduce(r ** 2, None)
+            primal = float(np.sqrt(k * r_sq + np.add.reduce(r_theta ** 2)))
             if not np.isfinite(primal):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
             last = sweep == config.max_iter
-            passed = False
-            if (last or primal <= TOL_REFRESH_RATIO * eps_primal
-                    or sweep - eps_sweep >= TOL_REFRESH_SWEEPS):
-                eps_primal = abs_primal + config.tol_rel * max(map(np.linalg.norm, (
-                    v, s.w, s.z_pi, s.pi, s.z_theta, s.theta, xth_minus_y)))
-                eps_sweep = sweep
-                passed = primal <= eps_primal
+            # All seven norms only on a sweep within the bound's tolerance (fit's docstring).
+            nv, npi, nzt, nth = map(np.linalg.norm, (v, s.pi, s.z_theta, s.theta))
+            bound = max(k * np.sqrt(r_sq) + nv + npi, nzt, nth)
+            passed = ((last or primal <= BOUND_MARGIN * (abs_primal + config.tol_rel * bound))
+                      and primal <= abs_primal + config.tol_rel * max(
+                          nv, npi, nzt, nth, *map(np.linalg.norm, (s.w, s.z_pi, xth_minus_y))))
             if passed or last:
                 dual = float(eta * np.sqrt(np.sum((s.w - w_prev) ** 2)
                                            + np.sum((s.z_pi - z_pi_prev) ** 2)

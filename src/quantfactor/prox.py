@@ -99,7 +99,7 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
       P = Q diag((sigma - threshold) / sigma) Q' m (or m Q ... Q' for tall m).
       A rank_hint at most PARTIAL_RANK_FRACTION * min(n, T) asks dsyevr for
       those pairs alone; no hint or a larger one takes all pairs from dsyevd.
-      The hint picks the solver, never the result.
+      The two solvers' results agree to round-off, not bit for bit.
     SvtResult says what each route records.
     """
     if not 0.0 <= threshold < np.inf:

@@ -17,6 +17,7 @@ from quantfactor import (
     fit,
     penalized_objective,
     prox_pinball,
+    prox_squared,
     solve_zw_joint,
 )
 from quantfactor import admm
@@ -38,6 +39,14 @@ def one_sweep_fits(data, config, state, max_sweeps, scales=None):
     while len(fits) < max_sweeps and not (fits and fits[-1].converged):
         fits.append(fit(data, one, scales, init=state))
     return fits
+
+
+def last_v(data, cfg, before):
+    """The V a sweep forms from the state before it."""
+    av = before.w - before.u_v
+    if cfg.loss == "squared":
+        return prox_squared(av, before.eta, data.n * data.t_len)
+    return prox_pinball(av, cfg.tau, 1.0 / (data.n * data.t_len * before.eta))
 
 
 def dense_only_svt(m, threshold, rank_hint=None):
@@ -366,18 +375,12 @@ class TestResidualDefinitions:
         last = fit(data, replace(cfg, max_iter=1), init=state)
         return data, cfg, before, last, state
 
-    @staticmethod
-    def last_v(data, cfg, before):
-        """The last sweep's V, which fit forms from the state before that sweep."""
-        kappa = 1.0 / (data.n * data.t_len * before.eta)
-        return prox_pinball(before.w - before.u_v, cfg.tau, kappa)
-
     @pytest.mark.parametrize("name", list(PANELS))
     def test_primal_residual_is_the_dual_step(self, name):
         data, cfg, before, last, s = self.stepped(name)
         assert last.iterations == 1 and not last.converged
         xth = data.x @ s.theta
-        v = self.last_v(data, cfg, before)
+        v = last_v(data, cfg, before)
         violations = {"u_v": v - s.w, "r_w": s.w - data.y + xth + s.z_pi,
                       "r_pi": s.z_pi - s.pi, "u_theta": s.z_theta - s.theta}
         assert violations["u_theta"].any() == (data.p > 0)
@@ -394,7 +397,7 @@ class TestResidualDefinitions:
         # The (Z_Pi, W) step's first-order conditions make W = Y - X theta - Z_Pi
         # violated by V - W and Z_Pi = Pi by W - V, so U_V's step is theirs too.
         data, cfg, before, _, s = self.stepped(name)
-        r_v = self.last_v(data, cfg, before) - s.w
+        r_v = last_v(data, cfg, before) - s.w
         r_w = s.w - data.y + data.x @ s.theta + s.z_pi
         r_pi = s.z_pi - s.pi
         scale = np.abs(r_v).max()
@@ -410,7 +413,7 @@ class TestResidualDefinitions:
         # W and Z_Pi are V and Pi less e, the mean violation of
         # W + Z_Pi = Y - X theta at (V, Pi); pinned, W splits V's gap to Y - X theta.
         data, cfg, before, _, s = self.stepped(name)
-        v = self.last_v(data, cfg, before)
+        v = last_v(data, cfg, before)
         xth_minus_y = data.x @ s.theta - data.y
         atol = 1e-9 * np.abs(v).max()
         assert atol > 0
@@ -458,6 +461,70 @@ class TestStoppingTest:
         assert last.converged and passes(last)
         before = fit(data, replace(cfg, max_iter=last.iterations - 1))
         assert not before.converged and not passes(before)
+
+    # A small panel of each kind, with penalties that leave Z_theta - theta and Pi nonzero.
+    # At eta = 0.01 the primal part sets most sweeps' tightest passing tolerance, where a
+    # bound too small to cover the seven norms would fail the sweep.
+    CHAINS = {"p>0": {}, "fix_pi_zero": {"fix_pi_zero": True}, "p=0": {},
+              "squared": {"loss": "squared", "tau": 0.5}}
+
+    def chain(self, name, tol_rel):
+        """(data, config, [(state before, one-sweep fit, state after)]) from zeros to the stop."""
+        data = random_panel(np.random.default_rng(42), 6, 7, 0 if name == "p=0" else 2)
+        cfg = replace(SolverConfig(tau=0.3, nu1=3e-2, nu2=2e-2, eta=0.01, tol_abs=1e-300,
+                                   tol_rel=tol_rel, max_iter=5000), **self.CHAINS[name])
+        state = AdmmState.zeros(6, 7, data.p, cfg.eta)
+        steps = []
+        while not (steps and steps[-1][1].converged):
+            before = copy.deepcopy(state)
+            steps.append((before, fit(data, replace(cfg, max_iter=1), init=state),
+                          copy.deepcopy(state)))
+        return data, cfg, steps
+
+    @staticmethod
+    def norms(data, cfg, before, after):
+        """The seven norms of the primal tolerance, rebuilt from the states around a sweep."""
+        v = last_v(data, cfg, before)
+        return [np.linalg.norm(a) for a in (v, after.w, after.z_pi, after.pi, after.z_theta,
+                                            after.theta, data.x @ after.theta - data.y)]
+
+    @staticmethod
+    def dual_norm(after):
+        """eta max(||U_V||, ||U_theta||), the dual tolerance's relative scale."""
+        return after.eta * max(np.linalg.norm(after.u_v), np.linalg.norm(after.u_theta))
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_relative_tolerances_scale_the_largest_norms(self, monkeypatch, name):
+        # With tol_abs near 0 only the relative parts are left: tol_rel times the largest
+        # of the seven primal norms, and tol_rel eta max(||U_V||, ||U_theta||).  Dense SVT
+        # on every call, so the one-sweep chain repeats the whole fit's sweeps.
+        monkeypatch.setattr(admm, "singular_value_threshold", dense_only_svt)
+        data, cfg, steps = self.chain(name, tol_rel=1e-5)
+        assert fit(data, cfg).iterations == len(steps) > 1
+
+        def passes(before, one, after):
+            return (one.primal_residual <= cfg.tol_rel * max(self.norms(data, cfg, before, after))
+                    and one.dual_residual <= cfg.tol_rel * self.dual_norm(after))
+
+        assert passes(*steps[-1]) and not passes(*steps[-2])
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_bound_lets_every_passing_sweep_stop(self, name):
+        # W = V - r, Z_Pi = Pi - r and X theta - Y = k r - V - Pi bound every n x T norm of
+        # the primal tolerance by k ||r|| + ||V|| + ||Pi||.  So at the tolerance where a
+        # sweep's full test just passes, a fit from the state before it stops there.
+        data, cfg, steps = self.chain(name, tol_rel=1e-3)
+        k = 2 if cfg.fix_pi_zero else 3
+        for sweep, (before, one, after) in enumerate(steps, start=1):
+            norms = self.norms(data, cfg, before, after)
+            r = last_v(data, cfg, before) - after.w
+            bound = k * np.linalg.norm(r) + norms[0] + norms[3]
+            assert max(bound, *norms[4:6]) * admm.BOUND_MARGIN >= max(norms), sweep
+            tol_rel = max(one.primal_residual / max(norms),
+                          one.dual_residual / self.dual_norm(after)) * (1 + 1e-6)
+            stop = fit(data, replace(cfg, tol_rel=tol_rel, max_iter=2),
+                       init=copy.deepcopy(before))
+            assert stop.converged and stop.iterations == 1, sweep
 
 
 
@@ -586,6 +653,7 @@ class TestFitNoCovariates:
             "p>0": (covariates, warm_cfg, None),
             "fix_pi_zero": (covariates, replace(warm_cfg, fix_pi_zero=True), None),
             "eta x 4": (covariates, replace(warm_cfg, eta=4.0 * warm.eta), warm),
+            "squared": (covariates, replace(warm_cfg, loss="squared", tau=0.5), None),
         }
         for name, (data, cfg, init) in cases.items():
             whole_state = copy.deepcopy(init)
