@@ -8,8 +8,15 @@ run's log and JSON result, and, per workload and end-to-end metric, each
 side's median and quartiles and the number of pairs the change won.  Each
 run also records the rounds it held (`peak_rss_mb` grows with them, since
 run.py keeps every round's output until its checks), printed beside that
-metric.  The file is rewritten after every run, so an interrupted run keeps
-what finished.
+metric.  Each summary entry also holds two verdicts, printed with it:
+`claim_rule_met` (the change wins at least nine pairs in ten, ties counting
+for neither side, and its median gap exceeds the parent's quartile spread)
+and `regression` ("worse beyond bound" when the change's median is worse
+than the parent's by more than the metric's relative bound in
+BENCHMARK.json; else "unresolved" when the parent's quartile spread exceeds
+that bound of its median and not every change run beats every parent run;
+else "within bound").  The file is rewritten after every run, so an
+interrupted run keeps what finished.
 
 Run from the change tree's root, with the parent checked out elsewhere
 (`git archive <commit> | tar -x -C DIR`):
@@ -105,8 +112,20 @@ def quartiles(values):
     return q1, median, q3
 
 
+def regression(entry, vals, better: str, bound: float) -> str:
+    """The no-regression verdict on one metric (see the module docstring)."""
+    scale = bound * abs(entry["parent"]["median"])
+    if -entry["median_gap"] > scale:
+        return "worse beyond bound"
+    sign = -1.0 if better == "lower" else 1.0
+    best_parent = max(sign * v for v in vals["parent"])
+    if entry["parent_iqr"] > scale and not all(sign * v > best_parent for v in vals["change"]):
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(runs, metrics) -> dict:
-    """Per workload and metric: medians, quartiles and pairs won by the change."""
+    """Per workload and metric: medians, quartiles, pairs won by the change and the verdicts."""
     summary = {}
     timed = [r for r in runs if r["trace"] == 0]
     for workload in dict.fromkeys(r["workload"] for r in timed):
@@ -123,7 +142,7 @@ def summarise(runs, metrics) -> dict:
                                              / p[s]["result"]["attempted"] for p in complete})
                                   for s in SIDES},
                  "rounds": {s: [p[s]["rounds"] for p in complete] for s in SIDES}}
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             vals = {s: [p[s]["result"]["metrics"][name]["value"] for p in complete]
                     for s in SIDES}
             if not complete or any(len(v) != len(complete) for v in vals.values()):
@@ -137,6 +156,9 @@ def summarise(runs, metrics) -> dict:
                                        for p, c in zip(vals["parent"], vals["change"]))
             entry["median_gap"] = sign * (entry["change"]["median"] - entry["parent"]["median"])
             entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+            entry["claim_rule_met"] = (10 * entry["change_wins"] >= 9 * len(complete)
+                                       and entry["median_gap"] > entry["parent_iqr"])
+            entry["regression"] = regression(entry, vals, better, bound)
             block[name] = entry
         summary[workload] = block
     return summary
@@ -151,7 +173,7 @@ def main(argv=None) -> int:
             return 2
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     command, seconds = spec["command"], spec["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     out = args.out or trees["change"] / f"BENCH_{args.label}.json"
 
     plan = [(w, s, 0) for w, seeds in args.runs for s in seeds]
@@ -194,7 +216,10 @@ def main(argv=None) -> int:
                 line = (f"{workload} {name}: parent {e['parent']['median']:.6g} "
                         f"[{e['parent']['q1']:.6g}, {e['parent']['q3']:.6g}], change "
                         f"{e['change']['median']:.6g} [{e['change']['q1']:.6g}, "
-                        f"{e['change']['q3']:.6g}], change wins {e['change_wins']}/{block['pairs']}")
+                        f"{e['change']['q3']:.6g}], change wins {e['change_wins']}/{block['pairs']}, "
+                        f"median gap {e['median_gap']:.6g}, parent iqr {e['parent_iqr']:.6g}, "
+                        f"claim rule {'met' if e['claim_rule_met'] else 'not met'}, "
+                        f"{e['regression']}")
                 if name == "peak_rss_mb":
                     line += ", rounds " + " / ".join(
                         ",".join(map(str, block["rounds"][s])) for s in SIDES)

@@ -210,11 +210,12 @@ def _cmd_simulate(args: argparse.Namespace, echo: dict) -> int:
 
 def _cmd_factors(args: argparse.Namespace, echo: dict) -> int:
     pi = read_matrix_csv(args.pi_path)
+    # both are formed before the first write, so a failure leaves no file behind
     decomposition = extract_factors(pi, args.rank)
+    shares = variance_explained(decomposition.singular_values)
     out_dir = Path(args.out)
     write_matrix_csv(decomposition.factors, out_dir / "factors.csv")
     write_matrix_csv(decomposition.loadings, out_dir / "loadings.csv")
-    shares = variance_explained(decomposition.singular_values)
     write_csv(
         out_dir / "variance.csv",
         ([k, sv, share] for k, (sv, share)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dsyevd, dsyevd_lwork, dsyevr, dsyevr_lwork
+from scipy.linalg.lapack import dsyevd, dsyevr
 
 from .errors import LengthMismatch, NonFiniteInput, SvdFailure
 
@@ -76,15 +75,6 @@ def soft_threshold(v, thresholds):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-@cache
-def _workspace(query, order: int) -> tuple[int, int]:
-    """(lwork, liwork) for one eigensolver at one order; scipy's eigh reruns this per call."""
-    work, iwork, info = query(order, lower=0)
-    if info != 0:
-        raise SvdFailure(f"LAPACK's workspace query failed at order {order} (info {info})")
-    return int(work), int(iwork)
-
-
 def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) -> SvtResult:
     """Shrink every singular value of m by threshold, clipping at zero.
 
@@ -94,8 +84,9 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
       included, a dense SVD keeps the result exact;
     - zero: at ||m||_F^2 < ZERO_MAX_NORM_SQ * threshold^2 every singular value
       is below the threshold, and P = 0 with no factorization;
-    - Gram: otherwise LAPACK's dsyevr or dsyevd gives the eigenpairs
-      (sigma^2, Q) of the short-side Gram matrix above threshold^2, and
+    - Gram: otherwise LAPACK's dsyevr or dsyevd, with its documented minimum
+      workspace, gives the eigenpairs (sigma^2, Q) of the short-side Gram
+      matrix above threshold^2, and
       P = Q diag((sigma - threshold) / sigma) Q' m (or m Q ... Q' for tall m).
       A rank_hint at most PARTIAL_RANK_FRACTION * min(n, T) asks dsyevr for
       those pairs alone; no hint or a larger one takes all pairs from dsyevd.
@@ -137,13 +128,11 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
     gram = dsyrk(1.0, m.T, trans=1 if wide else 0)
     order = gram.shape[0]
     if rank_hint is not None and rank_hint <= PARTIAL_RANK_FRACTION * min(n, t_len):
-        lwork, liwork = _workspace(dsyevr_lwork, order)
         w, q, found, _, info = dsyevr(gram, range="V", lower=0, vl=thr_sq, vu=np.inf,
-                                      lwork=lwork, liwork=liwork, overwrite_a=1)
+                                      overwrite_a=1)
         w, q = w[:found], q[:, :found]
     else:
-        lwork, liwork = _workspace(dsyevd_lwork, order)
-        w, q, info = dsyevd(gram, lower=0, lwork=lwork, liwork=liwork, overwrite_a=1)
+        w, q, info = dsyevd(gram, lower=0, overwrite_a=1)
     if info != 0:
         raise SvdFailure(f"LAPACK's eigensolver failed on a {order} x {order} Gram matrix "
                          f"(info {info})")

@@ -147,6 +147,18 @@ class TestFactorsCommand:
         assert run("factors", "--pi", path, "--rank", rank, "--out", out) == 2
         assert not out.exists()
 
+    def test_zero_spectrum_fails_before_any_write(self, tmp_path):
+        # a fit penalised down to rank 0 writes an all-zero pi.csv; its
+        # variance shares are undefined, and factors.csv and loadings.csv
+        # must not be left behind either
+        panel = simulate_small(tmp_path, seed=1, n=6, t=5, p=2)
+        assert run("fit", "--panel", panel, "--nu2", 10, "--out", tmp_path / "fit") == 0
+        pi_path = tmp_path / "fit" / "tau_0.5" / "pi.csv"
+        assert not read_matrix_csv(pi_path).any()
+        out = tmp_path / "fac"
+        assert run("factors", "--pi", pi_path, "--rank", 1, "--out", out) == 4
+        assert not out.exists()
+
 
 class TestBench:
     def bench_args(self, out, seed=3):

@@ -241,10 +241,13 @@ class TestPartialSvt:
 
     @staticmethod
     def case(shape, kept, seed):
-        """A matrix and a threshold between its kept-th and next singular value."""
+        """A matrix and a threshold between its kept-th and next singular value.
+
+        At kept = min(shape) the next value is taken as 0.
+        """
         rng = np.random.default_rng(seed)
         m = rng.standard_normal(shape) * rng.uniform(0.5, 3.0)
-        s = np.linalg.svd(m, compute_uv=False)
+        s = np.append(np.linalg.svd(m, compute_uv=False), 0.0)
         thr = 1.1 * s[0] if kept == 0 else 0.5 * (s[kept - 1] + s[kept])
         return m, thr
 
@@ -276,6 +279,24 @@ class TestPartialSvt:
         hint = {"none": None, "zero": 0, "exact": kept, "too_small": max(0, kept - 1),
                 "too_large": kept + 1, "above_cut": cap + 1}[hint]
         self.check(m, thr, hint, kept)
+
+    @pytest.mark.parametrize("shape, kept", [((1, 7), 1), ((9, 1), 1), ((2, 9), 1),
+                                             ((2, 9), 2)])
+    @pytest.mark.parametrize("hint, driver", [(None, "dsyevd"), (0, "dsyevr")])
+    def test_smallest_orders_agree_with_dense(self, monkeypatch, shape, kept, hint, driver):
+        # Gram orders 1 and 2, where each driver runs with its smallest
+        # default workspace
+        calls = []
+        solve = getattr(prox, driver)
+
+        def spy(*args, **kwargs):
+            calls.append(driver)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(prox, driver, spy)
+        m, thr = self.case(shape, kept, seed=11 * kept + shape[0])
+        self.check(m, thr, hint, kept)
+        assert calls == [driver]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rank_above_cut_over_keeps_every_pair(self, shape):
