@@ -26,7 +26,8 @@ Run from the change tree's root, with the parent checked out elsewhere
         --trace grid-d1-square=21
 
 --runs takes a workload and a seed range (or one seed) and may repeat;
---trace adds one --trace 1 pair at the given seed, reported but not summarised.
+--trace adds two --trace 1 pairs at each given seed, one parent first and one
+change first, reported but not summarised.
 """
 
 from __future__ import annotations
@@ -177,11 +178,14 @@ def main(argv=None) -> int:
     out = args.out or trees["change"] / f"BENCH_{args.label}.json"
 
     plan = [(w, s, 0) for w, seeds in args.runs for s in seeds]
-    plan += [(w, s, 1) for w, seeds in args.trace for s in seeds]
+    # Each traced seed runs twice, so the per-(workload, trace) alternation below puts
+    # each side first once.
+    plan += [(w, s, 1) for w, seeds in args.trace for s in seeds for _ in SIDES]
     protocol = ("each pair runs parent and change on the same seed, one after the other; "
                 "even pairs run the parent first, odd pairs the change first; "
                 + "; ".join(f"{w} seeds {s[0]}-{s[-1]}" for w, s in args.runs)
-                + "".join(f"; one --trace 1 pair on {w} at seed {s[0]}" for w, s in args.trace))
+                + "".join(f"; two --trace 1 pairs on {w} at seed {s[0]}, one parent first "
+                          "and one change first" for w, s in args.trace))
     record = {
         "label": args.label,
         "change": args.note,

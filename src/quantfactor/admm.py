@@ -106,15 +106,8 @@ def estimate_sparsity(theta) -> int:
 
 
 def estimate_rank(singular_values) -> int:
-    """Number of nonzero singular values (SVT produces exact zeros).
-
-    Reads a sorted, nonnegative spectrum, as SvtResult holds it: support_mask's
-    floor taken from the first entry.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > ZERO_TOL * max(1.0, s[0])))
+    """Number of nonzero singular values, counted by support_mask as estimate_sparsity counts."""
+    return int(np.sum(support_mask(singular_values)))
 
 
 def solve_zw_joint(a_tilde, b_tilde, c_tilde):
@@ -227,9 +220,6 @@ def fit(
     abs_primal = config.tol_abs * np.sqrt(k * nt + p)
     abs_dual = config.tol_abs * np.sqrt((k - 1) * nt + p)
     svals = np.zeros(min(n, t_len))
-    # Each sweep's SVT takes the previous sweep's rank as its hint, which picks
-    # its eigensolver; the first has none.
-    rank_hint = None
 
     converged = False
     # The residual test is the non-finite guard; numpy's warnings would repeat it.
@@ -248,12 +238,13 @@ def fit(
             a -= y
             s.theta = gram.solve(-gram.xt_dot(a) + s.z_theta + s.u_theta)
 
-            # Pi: singular value shrinkage of Z_Pi - U_V (skipped when pinned).
+            # Pi: singular value shrinkage of Z_Pi - U_V (skipped when pinned).  The pairs the
+            # last sweep's SVT kept are the hint that picks its eigensolver; the first has none.
             if not fix_pi:
-                svt = singular_value_threshold(s.z_pi - s.u_v, svt_threshold, rank_hint)
+                hint = None if sweep == 1 else int(np.count_nonzero(svals))
+                svt = singular_value_threshold(s.z_pi - s.u_v, svt_threshold, hint)
                 s.pi = svt.matrix
                 svals = svt.singular_values_after
-                rank_hint = estimate_rank(svals)
 
             # Z_theta: soft threshold with the scale-weighted l1 level.
             s.z_theta = soft_threshold(s.theta - s.u_theta, l1_thresholds)
@@ -277,14 +268,13 @@ def fit(
             primal = float(np.sqrt(k * r_sq + np.add.reduce(r_theta ** 2)))
             if not np.isfinite(primal):
                 raise NonFiniteIterate("ADMM iterate became non-finite; try a different eta")
-            last = sweep == config.max_iter
             # All seven norms only on a sweep within the bound's tolerance (fit's docstring).
             nv, npi, nzt, nth = map(np.linalg.norm, (v, s.pi, s.z_theta, s.theta))
             bound = max(k * np.sqrt(r_sq) + nv + npi, nzt, nth)
-            passed = ((last or primal <= BOUND_MARGIN * (abs_primal + config.tol_rel * bound))
+            passed = (primal <= BOUND_MARGIN * (abs_primal + config.tol_rel * bound)
                       and primal <= abs_primal + config.tol_rel * max(
                           nv, npi, nzt, nth, *map(np.linalg.norm, (s.w, s.z_pi, xth_minus_y))))
-            if passed or last:
+            if passed or sweep == config.max_iter:
                 dual = float(eta * np.sqrt(np.sum((s.w - w_prev) ** 2)
                                            + np.sum((s.z_pi - z_pi_prev) ** 2)
                                            + np.sum((s.z_theta - z_theta_prev) ** 2)))

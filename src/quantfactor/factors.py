@@ -55,9 +55,12 @@ def variance_explained(singular_values) -> np.ndarray:
     s = np.atleast_1d(np.asarray(singular_values, dtype=float))
     if np.any(s < 0) or np.any(np.diff(s) > 0):
         raise ValueError("singular values must be nonnegative and descending")
-    total = float(np.sum(s ** 2))
-    if s.size == 0 or total == 0.0:
+    if s.size == 0 or s[0] == 0.0:
         raise AllZeroSpectrum("variance shares are undefined for a zero spectrum")
+    # A power of two takes s[0] into [0.5, 1), so its square neither overflows nor
+    # underflows; the scaling is exact and leaves the shares' bits as they were.
+    s = np.ldexp(s, -np.frexp(s[0])[1])
+    total = float(np.sum(s ** 2))
     return 100.0 * s ** 2 / total
 
 

@@ -88,8 +88,10 @@ def singular_value_threshold(m, threshold: float, rank_hint: int | None = None) 
       workspace, gives the eigenpairs (sigma^2, Q) of the short-side Gram
       matrix above threshold^2, and
       P = Q diag((sigma - threshold) / sigma) Q' m (or m Q ... Q' for tall m).
-      A rank_hint at most PARTIAL_RANK_FRACTION * min(n, T) asks dsyevr for
-      those pairs alone; no hint or a larger one takes all pairs from dsyevd.
+      rank_hint is how many pairs to expect above threshold^2 (fit passes the
+      count its last SVT kept).  At most PARTIAL_RANK_FRACTION * min(n, T) it
+      asks dsyevr, whose work grows with that count, for those pairs alone; no
+      hint or a larger one takes all pairs from dsyevd.
       The two solvers' results agree to round-off, not bit for bit.
     SvtResult says what each route records.
     """

@@ -7,6 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from quantfactor import (
     AdmmState,
+    ColumnScales,
     DimensionMismatch,
     GramCache,
     NonFiniteIterate,
@@ -265,9 +266,9 @@ class TestFit:
 
     @pytest.mark.parametrize("nu2, rank", [(1e-2, 1), (1e-3, 30)])
     def test_rank_hint_leaves_the_fit_unchanged(self, monkeypatch, nu2, rank):
-        # fit hints each SVT with the last sweep's rank, which picks only the
-        # eigensolver; a reference SVT through numpy's full SVD on every
-        # sweep must give the same fit
+        # fit hints each SVT with the number of pairs the last sweep's SVT kept,
+        # which picks only the eigensolver; a reference SVT through numpy's full
+        # SVD on every sweep must give the same fit
         inst = generate(DesignSpec("D1", 30, 40, 3, seed=21))
         cfg = SolverConfig(tau=0.5, nu1=1e-3, nu2=nu2)
         svt = admm.singular_value_threshold
@@ -304,6 +305,11 @@ class TestFit:
         state.u_theta[0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
             fit(data, SolverConfig(max_iter=1), init=state)
+
+    def test_scales_of_another_length_rejected(self):
+        data = random_panel(np.random.default_rng(38), 3, 4, 2)
+        with pytest.raises(DimensionMismatch, match="scales"):
+            fit(data, SolverConfig(max_iter=1), ColumnScales(np.ones(3)))
 
     def test_fix_pi_zero_without_covariates_rejected(self):
         data = PanelData.without_covariates(np.ones((2, 2)))

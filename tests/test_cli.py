@@ -449,6 +449,18 @@ class TestErrorPaths:
         assert "tau_0.1" in self.one_error_line(capsys, "ValueError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("tune", "--grid-nu1", "a,b", "not a comma list of numbers"),
+        ("factors", "--rank", "abc", "not an integer"),
+    ], ids=["grid-nu1", "rank"])
+    def test_unparsable_value_exits_2(self, tmp_path, capsys, command, flag, value,
+                                      message):
+        source = "--pi" if command == "factors" else "--panel"
+        out = tmp_path / "out"
+        assert run(command, source, tmp_path / "missing.csv", flag, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert run() == 2
         assert run("fit") == 2  # --panel is required

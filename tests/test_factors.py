@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,10 @@ class TestExtractFactors:
         with pytest.raises(RankTooLarge):
             extract_factors(np.zeros((3, 5)), 0)
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatch, match="2-d"):
+            extract_factors(np.ones(4), 1)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # LAPACK returns a NaN spectrum for the inf case and can loop without
@@ -106,6 +112,16 @@ class TestVarianceExplained:
         shares = variance_explained(s)
         assert shares[0] > 70.0
         assert shares[0] > 3 * shares[1]
+
+    @pytest.mark.parametrize("s", [[1e200, 1e199], [1e-170, 1e-171]],
+                             ids=["overflow", "underflow"])
+    def test_extreme_scales(self, s):
+        # squared unscaled, the first spectrum overflows to inf / inf and the
+        # second underflows to a zero total; the shares depend only on the ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shares = variance_explained(s)
+        np.testing.assert_allclose(shares, [10000.0 / 101.0, 100.0 / 101.0], rtol=1e-14)
 
     def test_all_zero_spectrum(self):
         with pytest.raises(AllZeroSpectrum):

@@ -75,6 +75,14 @@ class TestReadPanelCsv:
         with pytest.raises(ParseError):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("names", ["x2", "x1,x3"])
+    def test_covariates_must_be_x1_to_xp(self, tmp_path, names):
+        path = tmp_path / "panel.csv"
+        zeros = ",0" * len(names.split(","))
+        path.write_text(f"unit,period,y,{names}\nu1,t1,1{zeros}\n")
+        with pytest.raises(ParseError, match="x1..x"):
+            read_panel_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("")
@@ -132,6 +140,31 @@ class TestRoundTrips:
         path.write_text("1,2\n3\n")
         with pytest.raises(ParseError):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1,2\n3,abc\n", ParseError, ":2: non-numeric"),
+        ("\n\n\n", EmptyFile, "is empty"),
+    ], ids=["non-numeric", "blank-lines-only"])
+    def test_matrix_rejected(self, tmp_path, text, error, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("reader, text, blank_at", [
+        (read_panel_csv, "unit,period,y,x1\nu1,t1,1,2\nu1,t2,3,4\n", 2),
+        (read_matrix_csv, "1,2\n3,4\n", 1),
+    ], ids=["panel", "matrix"])
+    def test_blank_lines_are_skipped(self, tmp_path, reader, text, blank_at):
+        lines = text.splitlines(keepends=True)
+        plain, gapped = tmp_path / "plain.csv", tmp_path / "gapped.csv"
+        plain.write_text(text)
+        gapped.write_text("".join(lines[:blank_at] + ["\n"] + lines[blank_at:]) + "\n")
+        a, b = reader(plain), reader(gapped)
+        if reader is read_panel_csv:
+            np.testing.assert_array_equal(a.x, b.x)
+            a, b = a.y, b.y
+        np.testing.assert_array_equal(a, b)
 
 
 class TestWriteFit:

@@ -68,6 +68,10 @@ class TestSupportRecovery:
     def test_false_positive(self):
         assert support_recovery([0.0, 1.0], [1.0, 0.0]) == (0, 1, 1)
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            support_recovery(np.ones(2), np.ones(3))
+
 
 class TestMonteCarlo:
     def grid(self):
@@ -263,6 +267,17 @@ class TestMonteCarlo:
         spec = DesignSpec("D1", 5, 5, 2, seed=24)
         with pytest.raises(ValueError):
             run_monte_carlo(spec, ["pca"], self.grid(), reps=1)
+        with pytest.raises(ValueError, match="unknown method"):
+            evaluate_rep(generate(spec), "pca", self.grid(), self.config())
+
+    def test_default_base_config_is_the_solver_default(self):
+        spec = DesignSpec("D1", 6, 6, 2, seed=26)
+        implicit = run_monte_carlo(spec, ["l1nnqr"], self.grid(), reps=1)
+        explicit = run_monte_carlo(spec, ["l1nnqr"], self.grid(), reps=1,
+                                   base_config=SolverConfig())
+        assert implicit[0].reps == 1
+        assert implicit[0].mean_quantile_err == explicit[0].mean_quantile_err
+        assert implicit[0].mean_theta_err_scaled == explicit[0].mean_theta_err_scaled
 
     @pytest.mark.parametrize("tau", [0.1, 0.9])
     def test_tau_other_than_the_median_rejected(self, tau):

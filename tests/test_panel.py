@@ -6,6 +6,7 @@ from quantfactor import (
     DegenerateColumn,
     DimensionMismatch,
     PanelData,
+    QuantileFit,
     SolverConfig,
     compute_column_scales,
     penalized_objective,
@@ -29,6 +30,10 @@ class TestPanelData:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             panel(np.zeros((2, 3)), np.zeros((3, 2, 1)))
+
+    def test_rejects_y_that_is_not_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match="y must be 2-d"):
+            panel(np.zeros(3), np.zeros((3, 1, 1)))
 
     def test_rejects_non_finite(self):
         y = np.zeros((2, 2))
@@ -99,6 +104,10 @@ class TestColumnScales:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ColumnScales(np.array([1.0, 0.0]))
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match="vector"):
+            ColumnScales(np.ones((2, 2)))
 
 
 class TestPinballLoss:
@@ -189,6 +198,26 @@ class TestPenalizedObjective:
             penalized_objective(d, np.zeros(2), np.zeros((2, 2)), cfg, scales)
         with pytest.raises(DimensionMismatch):
             penalized_objective(d, np.zeros(1), np.zeros((3, 2)), cfg, scales)
+
+    @pytest.mark.parametrize("scales", [None, ColumnScales(np.ones(2))], ids=["none", "p=2"])
+    def test_scales_must_match_the_covariates(self, scales):
+        d = panel(np.zeros((2, 2)), np.ones((2, 2, 1)))
+        with pytest.raises(DimensionMismatch, match="scales"):
+            penalized_objective(d, np.zeros(1), np.zeros((2, 2)), SolverConfig(), scales)
+
+
+class TestQuantileFit:
+    VALID = dict(tau=0.5, theta=np.zeros(2), pi=np.zeros((2, 3)), objective=1.0,
+                 iterations=1, converged=True, primal_residual=0.0, dual_residual=0.0,
+                 rank_estimate=2, sparsity_estimate=2, singular_values=np.zeros(2))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objective", np.nan, "objective"), ("objective", np.inf, "objective"),
+        ("rank_estimate", 3, "rank"), ("sparsity_estimate", 3, "sparsity"),
+    ], ids=["nan-objective", "inf-objective", "rank", "sparsity"])
+    def test_invariants(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            QuantileFit(**{**self.VALID, field: value})
 
 
 class TestSolverConfig:
