@@ -8,11 +8,8 @@ BIC-driven tuning, factor extraction, simulation designs, and a CLI.
 from .admm import (
     AdmmState,
     GramCache,
-    estimate_rank,
-    estimate_sparsity,
     fit,
     solve_zw_joint,
-    support_mask,
 )
 from .errors import (
     AllFitsFailed,
@@ -55,6 +52,7 @@ from .panel import (
     compute_column_scales,
     penalized_objective,
     pinball_loss,
+    support_mask,
 )
 from .panel_io import (
     read_matrix_csv,

@@ -29,10 +29,6 @@ from .panel import (
 )
 from .prox import prox_pinball, prox_squared, singular_value_threshold, soft_threshold
 
-# Entries (or singular values) below ZERO_TOL * max(1, largest magnitude)
-# count as exact zeros when estimating support size and rank.
-ZERO_TOL = 1e-8
-
 # fit's primal pre-test scales its bound's tolerance by this for rounding: each norm in
 # the bound or in the full test sums at most nT squares, to within about nT ulps, and
 # 1e-9 (4.5e6 ulps) covers that on panels of up to about 4e6 entries.
@@ -89,25 +85,6 @@ class GramCache:
     def xt_dot(self, mat: np.ndarray) -> np.ndarray:
         """sum_it X_it * mat_it, an R^p vector."""
         return self.x_flat.T @ mat.ravel()
-
-
-def support_mask(v) -> np.ndarray:
-    """Boolean mask of entries treated as nonzero, with a relative floor."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        return np.zeros(0, dtype=bool)
-    floor = ZERO_TOL * max(1.0, float(np.max(np.abs(v))))
-    return np.abs(v) > floor
-
-
-def estimate_sparsity(theta) -> int:
-    """Number of nonzero coefficients (soft-thresholding produces exact zeros)."""
-    return int(np.sum(support_mask(theta)))
-
-
-def estimate_rank(singular_values) -> int:
-    """Number of nonzero singular values, counted by support_mask as estimate_sparsity counts."""
-    return int(np.sum(support_mask(singular_values)))
 
 
 def solve_zw_joint(a_tilde, b_tilde, c_tilde):
@@ -295,7 +272,5 @@ def fit(
         converged=converged,
         primal_residual=primal,
         dual_residual=dual,
-        rank_estimate=estimate_rank(svals),
-        sparsity_estimate=estimate_sparsity(s.z_theta),
         singular_values=svals,
     )

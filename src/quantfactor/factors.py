@@ -20,7 +20,6 @@ class FactorDecomposition:
     loadings: np.ndarray
     factors: np.ndarray
     singular_values: np.ndarray
-    rank: int
 
 
 def extract_factors(pi, rank: int) -> FactorDecomposition:
@@ -47,12 +46,14 @@ def extract_factors(pi, rank: int) -> FactorDecomposition:
         if factors[j, k] < 0:
             factors[:, k] = -factors[:, k]
             u[:, k] = -u[:, k]
-    return FactorDecomposition(u * s, factors, s, rank)
+    return FactorDecomposition(u * s, factors, s)
 
 
 def variance_explained(singular_values) -> np.ndarray:
     """Share of squared spectrum per component, as percentages summing to 100."""
     s = np.atleast_1d(np.asarray(singular_values, dtype=float))
+    if not np.isfinite(s).all():
+        raise NonFiniteInput("variance_explained input contains non-finite entries")
     if np.any(s < 0) or np.any(np.diff(s) > 0):
         raise ValueError("singular values must be nonnegative and descending")
     if s.size == 0 or s[0] == 0.0:

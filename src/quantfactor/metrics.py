@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import fit, support_mask
+from .admm import fit
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
-from .panel import SolverConfig, check_count, compute_column_scales
+from .panel import SolverConfig, check_count, compute_column_scales, support_mask
 from .selection import TuningGrid, bic_pick, bic_score, check_c1, grid_path
 from .simulate import DesignSpec, SimInstance, generate
 
@@ -57,19 +57,35 @@ def support_recovery(theta_hat, theta_true):
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte Carlo results for one method on one design.
+    """Monte Carlo results for one method on one design.
 
     The per-rep arrays are indexed by rep and hold NaN where the rep failed;
-    reps counts the reps that did not, over which the means are taken.
+    reps counts the reps that did not, over which the means are taken (NaN
+    when every rep failed).
     """
 
     method: str
-    reps: int
-    mean_theta_err_scaled: float
-    mean_quantile_err: float
     per_rep_theta_err: np.ndarray
     per_rep_quantile_err: np.ndarray
-    failed_reps: int = 0
+
+    @property
+    def reps(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.per_rep_theta_err)))
+
+    @property
+    def failed_reps(self) -> int:
+        return self.per_rep_theta_err.size - self.reps
+
+    @property
+    def mean_theta_err_scaled(self) -> float:
+        return self._mean(self.per_rep_theta_err)
+
+    @property
+    def mean_quantile_err(self) -> float:
+        return self._mean(self.per_rep_quantile_err)
+
+    def _mean(self, errs: np.ndarray) -> float:
+        return float(errs[~np.isnan(self.per_rep_theta_err)].mean()) if self.reps else np.nan
 
 
 @dataclass(frozen=True)
@@ -189,19 +205,4 @@ def run_monte_carlo(
             else:
                 theta_errs[m][rep], q_errs[m][rep] = rm.bic_theta_err, rm.bic_quantile_err
 
-    reports = []
-    for m in methods:
-        theta, q = theta_errs[m], q_errs[m]
-        ok = ~np.isnan(theta)
-        reports.append(
-            McReport(
-                method=m,
-                reps=int(ok.sum()),
-                mean_theta_err_scaled=float(theta[ok].mean()) if ok.any() else float("nan"),
-                mean_quantile_err=float(q[ok].mean()) if ok.any() else float("nan"),
-                per_rep_theta_err=theta,
-                per_rep_quantile_err=q,
-                failed_reps=reps - int(ok.sum()),
-            )
-        )
-    return reports
+    return [McReport(m, theta_errs[m], q_errs[m]) for m in methods]

@@ -15,6 +15,10 @@ from .errors import DegenerateColumn, DimensionMismatch
 
 LOSSES = ("quantile", "squared")
 
+# Entries (or singular values) below ZERO_TOL * max(1, largest magnitude)
+# count as exact zeros in a fit's support size and rank.
+ZERO_TOL = 1e-8
+
 
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
@@ -88,6 +92,15 @@ class ColumnScales:
         return self.sigma_hat.size
 
 
+def support_mask(v) -> np.ndarray:
+    """Boolean mask of entries treated as nonzero, with a relative floor."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.size == 0:
+        return np.zeros(0, dtype=bool)
+    floor = ZERO_TOL * max(1.0, float(np.max(np.abs(v))))
+    return np.abs(v) > floor
+
+
 def check_count(name: str, value, least: int):
     """Raise ValueError unless value is a Python or numpy integer, not a bool, >= least.
 
@@ -143,7 +156,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class QuantileFit:
-    """Result of one solve: estimates, spectra, and convergence diagnostics."""
+    """Result of one solve: estimates, all min(n, T) of Pi's singular values, diagnostics."""
 
     tau: float
     theta: np.ndarray
@@ -153,8 +166,6 @@ class QuantileFit:
     converged: bool
     primal_residual: float
     dual_residual: float
-    rank_estimate: int
-    sparsity_estimate: int
     singular_values: np.ndarray
 
     def __post_init__(self):
@@ -165,10 +176,18 @@ class QuantileFit:
         )
         if not np.isfinite(self.objective):
             raise ValueError("fit objective must be finite")
-        if self.rank_estimate > min(self.pi.shape):
-            raise ValueError("rank estimate exceeds min(n, T)")
-        if self.sparsity_estimate > self.theta.size:
-            raise ValueError("sparsity estimate exceeds the coefficient count")
+        if self.singular_values.shape != (min(self.pi.shape),):
+            raise ValueError(f"singular_values must hold min(n, T) = {min(self.pi.shape)} values")
+
+    @property
+    def rank_estimate(self) -> int:
+        """Number of singular values support_mask counts as nonzero."""
+        return int(np.count_nonzero(support_mask(self.singular_values)))
+
+    @property
+    def sparsity_estimate(self) -> int:
+        """Number of coefficients support_mask counts as nonzero."""
+        return int(np.count_nonzero(support_mask(self.theta)))
 
 
 def compute_column_scales(data: PanelData) -> ColumnScales:

@@ -175,18 +175,18 @@ def write_fit(
     fit_result: QuantileFit,
     decomposition: FactorDecomposition | None,
     out_dir,
-    scales: ColumnScales | None = None,
+    scales: ColumnScales,
     config_echo: dict | None = None,
 ):
     """Persist one fit: theta.csv, pi.csv, factors.csv, loadings.csv, summary.json.
 
-    theta.csv carries the penalty weight sigma_hat_j next to each coefficient.
+    theta.csv carries the penalty weight sigma_hat_j next to each coefficient, so
+    scales must hold one per coefficient (the empty ColumnScales when p = 0).
     A rank-zero fit writes empty factor and loading files.
     """
     out_dir = Path(out_dir)
     theta = fit_result.theta.tolist()
-    weights = scales.sigma_hat.tolist() if scales is not None else [1.0] * len(theta)
-    rows = zip(range(1, len(theta) + 1), theta, weights, strict=True)
+    rows = zip(range(1, len(theta) + 1), theta, scales.sigma_hat.tolist(), strict=True)
     paths = {
         "theta": write_csv(out_dir / "theta.csv", rows, ["j", "value", "scale"]),
         "pi": write_matrix_csv(fit_result.pi, out_dir / "pi.csv"),

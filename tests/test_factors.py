@@ -131,6 +131,13 @@ class TestVarianceExplained:
         with pytest.raises(ValueError):
             variance_explained([1.0, 2.0])
 
+    @pytest.mark.parametrize("s", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]],
+                             ids=["nan-first", "nan-last", "inf"])
+    def test_rejects_non_finite(self, s):
+        # np.diff(s) > 0 is false for NaN, so the order check alone lets these through
+        with pytest.raises(NonFiniteInput):
+            variance_explained(s)
+
 
 class TestProcrustesDistance:
     def test_identical_inputs(self):

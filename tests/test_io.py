@@ -213,8 +213,7 @@ class TestFormatBytes:
     def theta_fit(theta):
         return QuantileFit(tau=0.5, theta=theta, pi=np.zeros((1, 1)), objective=0.0,
                            iterations=1, converged=True, primal_residual=0.0,
-                           dual_residual=0.0, rank_estimate=0, sparsity_estimate=1,
-                           singular_values=[0.0])
+                           dual_residual=0.0, singular_values=[0.0])
 
     @staticmethod
     def float_cells_are_17g(path, columns):
@@ -244,9 +243,6 @@ class TestFormatBytes:
         assert paths["theta"].read_bytes() == (b"j,value,scale\r\n"
                                                b"1,0.10000000000000001,1.5\r\n"
                                                b"2,0,0.66666666666666663\r\n")
-        paths = write_fit(result, None, tmp_path / "unscaled")
-        assert paths["theta"].read_bytes() == (b"j,value,scale\r\n"
-                                               b"1,0.10000000000000001,1\r\n2,0,1\r\n")
 
     def test_failed_bench_row(self, tmp_path):
         assert cli_main(["bench", "--design", "D1", "--n", "10", "--p", "2", "--T", "12",

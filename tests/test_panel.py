@@ -209,12 +209,12 @@ class TestPenalizedObjective:
 class TestQuantileFit:
     VALID = dict(tau=0.5, theta=np.zeros(2), pi=np.zeros((2, 3)), objective=1.0,
                  iterations=1, converged=True, primal_residual=0.0, dual_residual=0.0,
-                 rank_estimate=2, sparsity_estimate=2, singular_values=np.zeros(2))
+                 singular_values=np.zeros(2))
 
     @pytest.mark.parametrize("field, value, message", [
         ("objective", np.nan, "objective"), ("objective", np.inf, "objective"),
-        ("rank_estimate", 3, "rank"), ("sparsity_estimate", 3, "sparsity"),
-    ], ids=["nan-objective", "inf-objective", "rank", "sparsity"])
+        ("singular_values", np.zeros(3), r"min\(n, T\)"),
+    ], ids=["nan-objective", "inf-objective", "spectrum-length"])
     def test_invariants(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             QuantileFit(**{**self.VALID, field: value})

@@ -5,11 +5,11 @@ from quantfactor import (
     LengthMismatch,
     NonFiniteInput,
     SvdFailure,
-    estimate_rank,
     prox_pinball,
     prox_squared,
     singular_value_threshold,
     soft_threshold,
+    support_mask,
 )
 
 from quantfactor import prox
@@ -157,7 +157,7 @@ class TestSingularValueThreshold:
     def test_zero_matrix(self):
         res = singular_value_threshold(np.zeros((3, 4)), 0.5)
         np.testing.assert_array_equal(res.matrix, np.zeros((3, 4)))
-        assert estimate_rank(res.singular_values_after) == 0
+        assert np.count_nonzero(support_mask(res.singular_values_after)) == 0
 
     def test_identity_shrinks_uniformly(self):
         res = singular_value_threshold(np.eye(2), 0.4)
@@ -168,7 +168,7 @@ class TestSingularValueThreshold:
     def test_kills_small_singular_value(self):
         res = singular_value_threshold(np.diag([3.0, 0.1]), 0.5)
         np.testing.assert_allclose(res.matrix, np.diag([2.5, 0.0]), atol=1e-12)
-        assert estimate_rank(res.singular_values_after) == 1
+        assert np.count_nonzero(support_mask(res.singular_values_after)) == 1
         # subgradient condition of the nuclear-norm prox at the output
         gap = np.diag([3.0, 0.1]) - res.matrix
         assert np.linalg.norm(gap, 2) <= 0.5 + 1e-12
@@ -189,7 +189,7 @@ class TestSingularValueThreshold:
             np.testing.assert_allclose(
                 s_out, np.maximum(s_in - thr, 0.0), rtol=1e-9, atol=1e-9
             )
-            assert estimate_rank(res.singular_values_after) <= np.linalg.matrix_rank(m)
+            assert np.count_nonzero(support_mask(res.singular_values_after)) <= np.linalg.matrix_rank(m)
 
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(19)

@@ -13,22 +13,32 @@ from quantfactor import (
     TuningGrid,
     bic_score,
     compute_column_scales,
-    estimate_rank,
-    estimate_sparsity,
     fit,
     grid_search,
     pinball_loss,
+    support_mask,
 )
 from quantfactor.selection import grid_path
 from quantfactor.simulate import DesignSpec, generate
 
 
-def make_fit(tau, theta, pi, sparsity, rank):
+def fit_of(theta, pi, singular_values, tau=0.5):
     return QuantileFit(
         tau=tau, theta=theta, pi=pi, objective=0.0, iterations=1, converged=True,
-        primal_residual=0.0, dual_residual=0.0, rank_estimate=rank,
-        sparsity_estimate=sparsity, singular_values=np.zeros(1),
+        primal_residual=0.0, dual_residual=0.0, singular_values=singular_values,
     )
+
+
+def make_fit(tau, theta, pi, sparsity, rank):
+    """A fit with pi's shape whose spectrum holds `rank` ones; theta must hold `sparsity` nonzeros.
+
+    bic_score reads its loss from theta and pi, and its counts from theta and the spectrum.
+    """
+    spectrum = np.zeros(min(np.shape(pi)))
+    spectrum[:rank] = 1.0
+    f = fit_of(theta, pi, spectrum, tau)
+    assert (f.sparsity_estimate, f.rank_estimate) == (sparsity, rank)
+    return f
 
 
 class TestTuningGrid:
@@ -61,24 +71,33 @@ class TestTuningGrid:
 
 
 class TestEstimators:
+    @staticmethod
+    def sparsity(theta):
+        return fit_of(theta, np.zeros((1, 1)), np.zeros(1)).sparsity_estimate
+
+    @staticmethod
+    def rank(singular_values):
+        k = len(singular_values)
+        return fit_of(np.zeros(1), np.zeros((k, k)), singular_values).rank_estimate
+
     def test_sparsity_zero_vector(self):
-        assert estimate_sparsity(np.zeros(4)) == 0
+        assert self.sparsity(np.zeros(4)) == 0
 
     def test_sparsity_counts_nonzeros(self):
-        assert estimate_sparsity(np.array([1.0, 0.0, -0.5])) == 2
+        assert self.sparsity(np.array([1.0, 0.0, -0.5])) == 2
 
     def test_sparsity_relative_floor(self):
         # 1e-12 is below the 1e-8 relative floor, treated as an exact zero
-        assert estimate_sparsity(np.array([1.0, 1e-12])) == 1
+        assert self.sparsity(np.array([1.0, 1e-12])) == 1
 
     def test_rank_all_zero(self):
-        assert estimate_rank(np.zeros(3)) == 0
+        assert self.rank(np.zeros(3)) == 0
 
     def test_rank_counts_positive(self):
-        assert estimate_rank(np.array([3.0, 0.5, 0.0])) == 2
+        assert self.rank(np.array([3.0, 0.5, 0.0])) == 2
 
     def test_rank_empty(self):
-        assert estimate_rank(np.zeros(0)) == 0
+        assert np.count_nonzero(support_mask(np.zeros(0))) == 0
 
 
 class TestBicScore:
@@ -93,7 +112,7 @@ class TestBicScore:
         # zero residuals, n = T = 10, s = 2, r = 1, c1 = log^2(100):
         # (log 100 / 2) * (2 log^2 100 + 21)
         data = PanelData(np.zeros((10, 10)), np.zeros((10, 10, 3)))
-        f = make_fit(0.5, np.zeros(3), np.zeros((10, 10)), sparsity=2, rank=1)
+        f = make_fit(0.5, np.array([1.0, -1.0, 0.0]), np.zeros((10, 10)), sparsity=2, rank=1)
         expected = (np.log(100.0) / 2.0) * (np.log(100.0) ** 2 * 2 + 21.0)
         got = bic_score(f, data, c1=np.log(100.0) ** 2)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -101,8 +120,9 @@ class TestBicScore:
 
     def test_linear_in_rank(self):
         data = PanelData(np.zeros((6, 7)), np.zeros((6, 7, 2)))
-        f1 = make_fit(0.5, np.zeros(2), np.zeros((6, 7)), sparsity=1, rank=1)
-        f2 = make_fit(0.5, np.zeros(2), np.zeros((6, 7)), sparsity=1, rank=2)
+        theta = np.array([1.0, 0.0])
+        f1 = make_fit(0.5, theta, np.zeros((6, 7)), sparsity=1, rank=1)
+        f2 = make_fit(0.5, theta, np.zeros((6, 7)), sparsity=1, rank=2)
         step = bic_score(f2, data) - bic_score(f1, data)
         assert step == pytest.approx(np.log(42.0) / 2.0 * (1 + 6 + 7), rel=1e-12)
 
