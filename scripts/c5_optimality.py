@@ -40,7 +40,7 @@ REPS = 20
 def grid_errors(inst, grid, cfg0, scales):
     """Quantile error and convergence of every warm-started grid fit."""
     rows = []
-    for cfg, state in grid_path(inst.data, grid.nu1_values, grid.nu2_values, cfg0):
+    for cfg, state in grid_path(inst.data, grid, cfg0):
         f = fit(inst.data, cfg, scales=scales, init=state)
         est = inst.data.x @ f.theta + f.pi
         rows.append((cfg.nu1, cfg.nu2, quantile_error(inst.true_median_surface, est),

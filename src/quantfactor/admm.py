@@ -12,7 +12,7 @@ A panel without covariates (p = 0) runs the same loop with empty theta blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -136,10 +136,11 @@ def fit(
 
     Returns
     -------
-    QuantileFit with theta taken from the soft-threshold iterate and pi from
-    the singular-value-threshold iterate, so support and rank counts reflect
-    exact zeros.  primal_residual is sqrt(k ||V - W||^2 + ||Z_theta - theta||^2), the
-    norm of the last sweep's four violations, k = 3 of them +-(V - W) (pinned, k = 2).
+    QuantileFit with config's eta set to the one used, theta taken from the
+    soft-threshold iterate and pi from the singular-value-threshold iterate, so
+    support and rank counts reflect exact zeros.  primal_residual is
+    sqrt(k ||V - W||^2 + ||Z_theta - theta||^2), the norm of the last sweep's four
+    violations, k = 3 of them +-(V - W) (pinned, k = 2).
     dual_residual is eta times the norm of that sweep's change in (W, Z_Pi, Z_theta).
 
     The stop is the every-sweep test of Boyd et al. (2011, sec. 3.3.1).  With r = V - W the
@@ -264,7 +265,7 @@ def fit(
 
     objective = penalized_objective(data, s.z_theta, s.pi, config, scales)
     return QuantileFit(
-        tau=config.tau,
+        config=replace(config, eta=eta),
         theta=s.z_theta,
         pi=s.pi,
         objective=objective,

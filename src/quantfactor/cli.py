@@ -27,7 +27,7 @@ from .panel_io import (
     write_matrix_csv,
     write_sim_instance,
 )
-from .selection import TuningGrid, check_c1, grid_search
+from .selection import TuningGrid, grid_search
 from .simulate import DESIGNS, DesignSpec, generate
 from .metrics import check_monte_carlo, run_monte_carlo
 
@@ -138,7 +138,7 @@ def _grid(args: argparse.Namespace) -> TuningGrid:
         kwargs["nu1_values"] = np.asarray(args.grid_nu1)
     if args.grid_nu2 is not None:
         kwargs["nu2_values"] = np.asarray(args.grid_nu2)
-    return TuningGrid(**kwargs)
+    return TuningGrid(c1=args.c1, **kwargs)
 
 
 def _tau_configs(args: argparse.Namespace) -> dict[Path, SolverConfig]:
@@ -161,11 +161,12 @@ def _check_out(out: str) -> None:
         raise NotADirectoryError(f"--out {out}: {path} is not a directory")
 
 
-def _write_one_fit(result, scales, tau_dir: Path, echo: dict, nu1, nu2):
+def _write_one_fit(result, scales, tau_dir: Path, echo: dict):
     decomposition = None
     if result.rank_estimate >= 1:
         decomposition = extract_factors(result.pi, result.rank_estimate)
-    echo = {**echo, "tau": result.tau, "nu1": nu1, "nu2": nu2}
+    cfg = result.config
+    echo = {**echo, "tau": cfg.tau, "nu1": cfg.nu1, "nu2": cfg.nu2}
     return write_fit(result, decomposition, tau_dir, scales=scales, config_echo=echo)
 
 
@@ -177,34 +178,32 @@ def _cmd_fit(args: argparse.Namespace, echo: dict) -> int:
     scales = compute_column_scales(data)
     for tau_dir, cfg in configs.items():
         result = admm.fit(data, cfg, scales=scales)
-        _write_one_fit(result, scales, tau_dir, echo, args.nu1, args.nu2)
+        _write_one_fit(result, scales, tau_dir, echo)
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace, echo: dict) -> int:
-    # the configs, the grid, c1, then --out are checked before any file is read or written
+    # the configs, the grid with c1, then --out are checked before any file is read or written
     configs = _tau_configs(args)
     grid = _grid(args)
-    check_c1(args.c1)
     _check_out(args.out)
     data = read_panel_csv(args.panel)
     scales = compute_column_scales(data)
     for tau_dir, cfg in configs.items():
-        report = grid_search(data, grid, cfg, c1=args.c1, scales=scales)
+        report = grid_search(data, grid, cfg, scales=scales)
         write_csv(
             tau_dir / "selection.csv",
             ([row.nu1, row.nu2, row.bic, row.sparsity, row.rank, row.objective,
               int(row.converged)] for row in report.table),
             ["nu1", "nu2", "bic", "sparsity", "rank", "objective", "converged"],
         )
-        _write_one_fit(report.best_fit, scales, tau_dir, echo, report.best_nu1, report.best_nu2)
+        _write_one_fit(report.best_fit, scales, tau_dir, echo)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace, echo: dict) -> int:
-    spec = DesignSpec(args.design, args.n, args.t_len, args.p, args.seed)
-    inst = generate(spec)
-    write_sim_instance(inst, args.out, args.seed, args.design)
+    inst = generate(DesignSpec(args.design, args.n, args.t_len, args.p, args.seed))
+    write_sim_instance(inst, args.out)
     return 0
 
 
@@ -231,11 +230,11 @@ def _cmd_bench(args: argparse.Namespace, echo: dict) -> int:
     base = _solver_config(args, 0.5)
     # the settings, then --out, are checked before the Monte Carlo runs
     grid = _grid(args)
-    check_monte_carlo(args.methods, args.reps, args.c1)
+    check_monte_carlo(args.methods, args.reps)
     _check_out(args.out)
     reports = run_monte_carlo(
         spec, args.methods, grid, args.reps,
-        oracle_tuning=args.oracle, base_config=base, c1=args.c1,
+        oracle_tuning=args.oracle, base_config=base,
     )
     out_dir = Path(args.out)
     tuning = "oracle" if args.oracle else "bic"

@@ -10,7 +10,7 @@ import numpy as np
 from .admm import fit
 from .errors import DimensionMismatch, LengthMismatch, QuantfactorError
 from .panel import SolverConfig, check_count, compute_column_scales, support_mask
-from .selection import TuningGrid, bic_pick, bic_score, check_c1, grid_path
+from .selection import TuningGrid, bic_pick, bic_score, grid_path
 from .simulate import DesignSpec, SimInstance, generate
 
 log = logging.getLogger(__name__)
@@ -110,7 +110,6 @@ def evaluate_rep(
     method: str,
     grid: TuningGrid,
     base_config: SolverConfig,
-    c1: float | None = None,
     rep: int = 0,
 ) -> RepMetrics:
     """Fit one instance along the grid path and record oracle and BIC metrics.
@@ -125,21 +124,20 @@ def evaluate_rep(
         raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
     if base_config.tau != 0.5:
         raise ValueError(f"tau {base_config.tau}: errors are scored at the median only")
-    check_c1(c1)
     data = inst.data
     scales = compute_column_scales(data)
     cfg0 = _method_config(method, base_config)
     converged_errs = []
 
     def points():
-        for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, cfg0):
+        for cfg, state in grid_path(data, grid, cfg0):
             result = fit(data, cfg, scales=scales, init=state)
             est_surface = data.x @ result.theta + result.pi
             errs = (theta_error_scaled(result.theta, inst.theta_true),
                     quantile_error(inst.true_median_surface, est_surface))
             if result.converged:
                 converged_errs.append(errs)
-            yield bic_score(result, data, c1), result.converged, errs
+            yield bic_score(result, data, grid.c1), result.converged, errs
 
     bic_theta_err, bic_quantile_err = bic_pick(points())
     oracle_theta_err, oracle_quantile_err = np.min(converged_errs, axis=0)
@@ -153,13 +151,11 @@ def evaluate_rep(
     )
 
 
-def check_monte_carlo(methods, reps: int, c1: float | None) -> list:
-    """The methods as a list, or ValueError on reps that is not an integer >= 1, a bad
-    c1, or an unknown or repeated method (which would fit every rep twice and report it
-    twice).
+def check_monte_carlo(methods, reps: int) -> list:
+    """The methods as a list, or ValueError on reps that is not an integer >= 1, or an
+    unknown or repeated method (which would fit every rep twice and report it twice).
     """
     check_count("reps", reps, 1)
-    check_c1(c1)
     methods = list(methods)
     for m in methods:
         if m not in METHODS:
@@ -176,7 +172,6 @@ def run_monte_carlo(
     reps: int,
     oracle_tuning: bool = False,
     base_config: SolverConfig | None = None,
-    c1: float | None = None,
 ):
     """Replicate the design, fit each method across the grid, average metrics.
 
@@ -186,7 +181,7 @@ def run_monte_carlo(
 
     Returns a list of McReport, one per method, in the order given.
     """
-    methods = check_monte_carlo(methods, reps, c1)
+    methods = check_monte_carlo(methods, reps)
     if base_config is None:
         base_config = SolverConfig()
 
@@ -196,7 +191,7 @@ def run_monte_carlo(
         inst = generate(replace(spec, seed=spec.seed + rep))
         for m in methods:
             try:
-                rm = evaluate_rep(inst, m, grid, base_config, c1=c1, rep=rep)
+                rm = evaluate_rep(inst, m, grid, base_config, rep=rep)
             except QuantfactorError as exc:
                 log.warning("rep %d method %s failed: %s", rep, m, exc)
                 continue

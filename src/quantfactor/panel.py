@@ -7,7 +7,7 @@ pinball loss with a weighted l1 penalty on theta and a nuclear-norm penalty on P
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,9 +156,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class QuantileFit:
-    """Result of one solve: estimates, all min(n, T) of Pi's singular values, diagnostics."""
+    """Result of one solve: the config as solved (eta set), estimates, all min(n, T) of
+    Pi's singular values, diagnostics."""
 
-    tau: float
+    config: SolverConfig
     theta: np.ndarray
     pi: np.ndarray
     objective: float
@@ -178,6 +179,14 @@ class QuantileFit:
             raise ValueError("fit objective must be finite")
         if self.singular_values.shape != (min(self.pi.shape),):
             raise ValueError(f"singular_values must hold min(n, T) = {min(self.pi.shape)} values")
+        # ||Pi||_F^2 = sum(s^2) for Pi's own spectrum.  fit's Pi is a product with
+        # orthonormal factors, which holds it to about min(n, T) * eps; 1e-9 leaves room
+        # for that and still rejects a spectrum that is not Pi's.  NaN fails the test.
+        pi_sq = float(np.sum(self.pi ** 2))
+        s_sq = float(np.sum(self.singular_values ** 2))
+        if not abs(pi_sq - s_sq) <= 1e-9 * max(pi_sq, s_sq):
+            raise ValueError(f"singular_values are not pi's: ||pi||_F^2 = {pi_sq:.6g}, "
+                             f"sum(s^2) = {s_sq:.6g}")
 
     @property
     def rank_estimate(self) -> int:

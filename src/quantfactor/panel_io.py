@@ -153,16 +153,16 @@ def read_matrix_csv(path) -> np.ndarray:
     return matrix
 
 
-def write_sim_instance(inst: SimInstance, out_dir, seed: int, design: str):
-    """Panel CSV plus a JSON sidecar holding the generative truth."""
+def write_sim_instance(inst: SimInstance, out_dir):
+    """Panel CSV plus a JSON sidecar: inst.spec's design and seed, and the generative truth."""
     out_dir = Path(out_dir)
     panel_path = write_panel_csv(inst.data, out_dir / "panel.csv")
     truth = {
-        "design": design,
+        "design": inst.spec.design,
         "n": inst.data.n,
         "t_len": inst.data.t_len,
         "p": inst.data.p,
-        "seed": seed,
+        "seed": inst.spec.seed,
         "rng": RNG_ALGORITHM,
         "theta_true": inst.theta_true.tolist(),
         "scale_coef": None if inst.scale_coef is None else inst.scale_coef.tolist(),
@@ -198,11 +198,10 @@ def write_fit(
         paths["factors"] = write_csv(out_dir / "factors.csv", [])
         paths["loadings"] = write_csv(out_dir / "loadings.csv", [])
 
-    echo = config_echo or {}
     summary = {
-        "tau": fit_result.tau,
-        "nu1": echo.get("nu1"),
-        "nu2": echo.get("nu2"),
+        "tau": fit_result.config.tau,
+        "nu1": fit_result.config.nu1,
+        "nu2": fit_result.config.nu2,
         "rank": fit_result.rank_estimate,
         "sparsity": fit_result.sparsity_estimate,
         "objective": fit_result.objective,
@@ -212,7 +211,7 @@ def write_fit(
         "dual_residual": fit_result.dual_residual,
         "singular_values": fit_result.singular_values.tolist(),
         "rng": RNG_ALGORITHM,
-        "config": echo,
+        "config": config_echo or {},
     }
     paths["summary"] = write_json(out_dir / "summary.json", summary)
     return paths

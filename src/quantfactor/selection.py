@@ -31,7 +31,6 @@ __all__ = [
     "SelectionReport",
     "bic_pick",
     "bic_score",
-    "check_c1",
     "default_c1",
     "grid_path",
     "grid_search",
@@ -52,10 +51,12 @@ def _default_nu2():
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Penalty grids, one-dimensional and sorted descending so warm starts relax gradually."""
+    """Penalty grids, one-dimensional and sorted descending so warm starts relax gradually,
+    and the BIC's sparsity weight c1: finite and >= 0, or None for default_c1."""
 
     nu1_values: np.ndarray = field(default_factory=_default_nu1)
     nu2_values: np.ndarray = field(default_factory=_default_nu2)
+    c1: float | None = None
 
     def __post_init__(self):
         for name in ("nu1_values", "nu2_values"):
@@ -70,6 +71,10 @@ class TuningGrid:
                 raise ValueError(f"{name} must be sorted strictly descending")
             vals.setflags(write=False)
             object.__setattr__(self, name, vals)
+        # A NaN c1 makes every BIC NaN, so bic_pick's strict < never fires, and a
+        # negative one rewards nonzero coefficients.
+        if self.c1 is not None and not 0.0 <= self.c1 < np.inf:
+            raise ValueError(f"c1 must be finite and nonnegative, got {self.c1}")
 
 
 @dataclass(frozen=True)
@@ -88,23 +93,19 @@ class SelectionReport:
     """Full grid table plus the BIC-minimizing converged fit."""
 
     table: tuple
-    best_nu1: float
-    best_nu2: float
     best_fit: QuantileFit
+
+    @property
+    def best_nu1(self) -> float:
+        return self.best_fit.config.nu1
+
+    @property
+    def best_nu2(self) -> float:
+        return self.best_fit.config.nu2
 
 
 def default_c1(data: PanelData) -> float:
     return float(np.log(data.n * data.t_len) ** 2)
-
-
-def check_c1(c1: float | None) -> None:
-    """Raise ValueError unless the sparsity weight c1 is None or finite and >= 0.
-
-    A NaN c1 makes every BIC NaN, so bic_pick's strict < never fires, and a
-    negative one rewards nonzero coefficients.
-    """
-    if c1 is not None and not 0.0 <= c1 < np.inf:
-        raise ValueError(f"c1 must be finite and nonnegative, got {c1}")
 
 
 def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None) -> float:
@@ -116,7 +117,7 @@ def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None)
     if c1 is None:
         c1 = default_c1(data)
     resid = data.y - fit_result.pi - data.x @ fit_result.theta
-    loss = float(np.sum(pinball_loss(resid, fit_result.tau)))
+    loss = float(np.sum(pinball_loss(resid, fit_result.config.tau)))
     n, t_len = data.n, data.t_len
     penalty = (np.log(n * t_len) / 2.0) * (
         c1 * fit_result.sparsity_estimate + (1 + n + t_len) * fit_result.rank_estimate
@@ -124,12 +125,12 @@ def bic_score(fit_result: QuantileFit, data: PanelData, c1: float | None = None)
     return loss + float(penalty)
 
 
-def grid_path(data: PanelData, nu1_values, nu2_values, config: SolverConfig):
+def grid_path(data: PanelData, grid: TuningGrid, config: SolverConfig):
     """Yield (config, warm-start state) for every grid point, in fit order.
 
     Fit each point, passing its state to `fit` as init, before drawing the
     next: `fit` advances the state in place.  Down a column the same state
-    is handed on along the given (descending) nu2 values, so each fit starts
+    is handed on along the grid's (descending) nu2 values, so each fit starts
     from the one above it.  Only the first column's top point starts cold.
     Each later column's top point starts from a copy of the previous
     column's top state, taken as the point after that top is drawn, so no
@@ -137,9 +138,9 @@ def grid_path(data: PanelData, nu1_values, nu2_values, config: SolverConfig):
     top state.  With config.fix_pi_zero, nu2 has no effect, so the walk
     takes nu2 = 0 only: one point per nu1.
     """
-    nu2_values = (0.0,) if config.fix_pi_zero else nu2_values
+    nu2_values = (0.0,) if config.fix_pi_zero else grid.nu2_values
     top = AdmmState.zeros(data.n, data.t_len, data.p, config.eta)
-    for nu1 in nu1_values:
+    for nu1 in grid.nu1_values:
         state = top
         for k, nu2 in enumerate(nu2_values):
             yield replace(config, nu1=float(nu1), nu2=float(nu2)), state
@@ -171,40 +172,33 @@ def grid_search(
     data: PanelData,
     grid: TuningGrid,
     config: SolverConfig,
-    c1: float | None = None,
     scales: ColumnScales | None = None,
 ) -> SelectionReport:
-    """Fit every (nu1, nu2) pair along grid_path and take the bic_pick.
+    """Fit every (nu1, nu2) pair along grid_path and take the bic_pick, scored with grid.c1.
 
     Non-converged fits stay in the table, flagged, but cannot be picked.
     """
-    check_c1(c1)
     if scales is None:
         scales = compute_column_scales(data)
     rows = []
 
     def points():
-        for cfg, state in grid_path(data, grid.nu1_values, grid.nu2_values, config):
+        for cfg, state in grid_path(data, grid, config):
             result = fit(data, cfg, scales=scales, init=state)
             row = SelectionRow(
                 nu1=cfg.nu1,
                 nu2=cfg.nu2,
-                bic=bic_score(result, data, c1),
+                bic=bic_score(result, data, grid.c1),
                 sparsity=result.sparsity_estimate,
                 rank=result.rank_estimate,
                 objective=result.objective,
                 converged=result.converged,
             )
             rows.append(row)
-            yield row.bic, row.converged, (row, result)
+            yield row.bic, row.converged, result
 
-    best_row, best_fit = bic_pick(points())
+    best_fit = bic_pick(points())
     n_failed = sum(not r.converged for r in rows)
     if n_failed:
         log.warning("%d of %d grid fits did not converge", n_failed, len(rows))
-    return SelectionReport(
-        table=tuple(rows),
-        best_nu1=best_row.nu1,
-        best_nu2=best_row.nu2,
-        best_fit=best_fit,
-    )
+    return SelectionReport(table=tuple(rows), best_fit=best_fit)

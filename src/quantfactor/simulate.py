@@ -48,12 +48,13 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class SimInstance:
-    """A generated panel with the truth needed for evaluation.
+    """A generated panel, the spec that drew it, and the truth needed for evaluation.
 
     true_median_surface is X'theta + Pi, the tau = 0.5 quantile function; all
     four designs have conditional-median-zero errors by construction.
     """
 
+    spec: DesignSpec
     data: PanelData
     theta_true: np.ndarray
     pi_true: np.ndarray
@@ -117,6 +118,7 @@ def generate(spec: DesignSpec) -> SimInstance:
         y = surface + eps
 
     return SimInstance(
+        spec=spec,
         data=PanelData(y, x),
         theta_true=theta,
         pi_true=pi,

@@ -260,6 +260,7 @@ class TestFit:
         derived = fit(inst.data, cfg, init=state)
         explicit = fit(inst.data, SolverConfig(tau=0.5, nu1=1e-3, nu2=1e-2, eta=10.0 / 72))
         assert state.eta == 10.0 / 72
+        assert derived.config.eta == 10.0 / 72
         np.testing.assert_array_equal(derived.theta, explicit.theta)
         np.testing.assert_array_equal(derived.pi, explicit.pi)
         assert derived.iterations == explicit.iterations

@@ -10,7 +10,6 @@ import pytest
 import quantfactor
 from quantfactor import AllFitsFailed, SolverConfig, read_matrix_csv
 from quantfactor.cli import build_parser, cli_main
-from quantfactor.panel_io import read_panel_csv
 
 
 def run(*args):

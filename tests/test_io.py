@@ -119,8 +119,7 @@ class TestRoundTrips:
 
     def test_sim_instance_writes_truth_sidecar(self, tmp_path):
         inst = generate(DesignSpec("D4", 4, 5, 2, seed=32))
-        panel_path, truth_path = write_sim_instance(inst, tmp_path, seed=32,
-                                                    design="D4")
+        panel_path, truth_path = write_sim_instance(inst, tmp_path)
         truth = json.loads(truth_path.read_text())
         assert truth["design"] == "D4"
         assert truth["seed"] == 32
@@ -128,6 +127,14 @@ class TestRoundTrips:
         np.testing.assert_allclose(np.asarray(truth["pi_true"]), inst.pi_true)
         np.testing.assert_allclose(np.asarray(truth["theta_true"]), inst.theta_true)
         assert read_panel_csv(panel_path).n == 4
+
+    @pytest.mark.parametrize("spec", [DesignSpec("D1", 3, 4, 1, seed=0),
+                                      DesignSpec("D3", 5, 3, 2, seed=7)], ids=["D1", "D3"])
+    def test_sim_sidecar_takes_design_and_seed_from_the_spec(self, tmp_path, spec):
+        _, truth_path = write_sim_instance(generate(spec), tmp_path)
+        truth = json.loads(truth_path.read_text())
+        assert (truth["design"], truth["n"], truth["t_len"], truth["p"], truth["seed"]) == (
+            spec.design, spec.n, spec.t_len, spec.p, spec.seed)
 
     def test_matrix_roundtrip(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -190,6 +197,13 @@ class TestWriteFit:
         pi = read_matrix_csv(paths["pi"])
         assert pi.shape == (8, 9)
 
+    def test_summary_holds_the_fits_own_penalties(self, tmp_path):
+        # no config echo: tau, nu1 and nu2 come from the fit itself
+        result, scales = self.fitted()
+        summary = json.loads(write_fit(result, None, tmp_path, scales)["summary"].read_text())
+        assert (summary["tau"], summary["nu1"], summary["nu2"]) == (0.5, 1e-3, 1e-2)
+        assert summary["config"] == {}
+
     def test_theta_roundtrip_is_exact(self, tmp_path):
         result, scales = self.fitted()
         paths = write_fit(result, None, tmp_path, scales=scales)
@@ -211,8 +225,8 @@ class TestFormatBytes:
 
     @staticmethod
     def theta_fit(theta):
-        return QuantileFit(tau=0.5, theta=theta, pi=np.zeros((1, 1)), objective=0.0,
-                           iterations=1, converged=True, primal_residual=0.0,
+        return QuantileFit(config=SolverConfig(tau=0.5), theta=theta, pi=np.zeros((1, 1)),
+                           objective=0.0, iterations=1, converged=True, primal_residual=0.0,
                            dual_residual=0.0, singular_values=[0.0])
 
     @staticmethod

@@ -74,8 +74,8 @@ class TestSupportRecovery:
 
 
 class TestMonteCarlo:
-    def grid(self):
-        return TuningGrid(nu1_values=np.array([1e-3]), nu2_values=np.array([1e-2]))
+    def grid(self, c1=None):
+        return TuningGrid(nu1_values=np.array([1e-3]), nu2_values=np.array([1e-2]), c1=c1)
 
     def config(self):
         return SolverConfig(tau=0.5, eta=10.0 / 100.0, max_iter=20000)
@@ -113,11 +113,10 @@ class TestMonteCarlo:
     def test_bic_pick_is_grid_search_pick(self):
         inst = generate(DesignSpec("D1", 10, 12, 2, seed=22))
         grid = TuningGrid(
-            nu1_values=np.array([1e-2, 1e-4]), nu2_values=np.array([1e-1, 1e-3])
+            nu1_values=np.array([1e-2, 1e-4]), nu2_values=np.array([1e-1, 1e-3]), c1=2.0
         )
-        c1 = 2.0
-        rm = evaluate_rep(inst, "l1nnqr", grid, self.config(), c1=c1)
-        best = grid_search(inst.data, grid, self.config(), c1=c1).best_fit
+        rm = evaluate_rep(inst, "l1nnqr", grid, self.config())
+        best = grid_search(inst.data, grid, self.config()).best_fit
         est = inst.data.x @ best.theta + best.pi
         assert rm.bic_theta_err == theta_error_scaled(best.theta, inst.theta_true)
         assert rm.bic_quantile_err == quantile_error(inst.true_median_surface, est)
@@ -144,7 +143,8 @@ class TestMonteCarlo:
             if cfg.nu1 == 1e-4 and cfg.nu2 == 1e-3:
                 # an unconverged fit that happens to sit on the truth
                 return dataclasses.replace(
-                    result, converged=False, theta=inst.theta_true, pi=inst.pi_true
+                    result, converged=False, theta=inst.theta_true, pi=inst.pi_true,
+                    singular_values=np.linalg.svd(inst.pi_true, compute_uv=False),
                 )
             return result
 
@@ -233,10 +233,9 @@ class TestMonteCarlo:
         monkeypatch.setattr(metrics, "fit", never)
         monkeypatch.setattr(metrics, "generate", never)
         with pytest.raises(ValueError, match="c1"):
-            evaluate_rep(inst, "l1nnqr", self.grid(), self.config(), c1=c1)
+            evaluate_rep(inst, "l1nnqr", self.grid(c1), self.config())
         with pytest.raises(ValueError, match="c1"):
-            run_monte_carlo(spec, ["l1qr"], self.grid(), reps=1,
-                            base_config=self.config(), c1=c1)
+            run_monte_carlo(spec, ["l1qr"], self.grid(c1), reps=1, base_config=self.config())
 
     def test_repeated_method_rejected_before_any_rep(self, monkeypatch):
         import quantfactor.metrics as metrics

@@ -207,9 +207,9 @@ class TestPenalizedObjective:
 
 
 class TestQuantileFit:
-    VALID = dict(tau=0.5, theta=np.zeros(2), pi=np.zeros((2, 3)), objective=1.0,
-                 iterations=1, converged=True, primal_residual=0.0, dual_residual=0.0,
-                 singular_values=np.zeros(2))
+    VALID = dict(config=SolverConfig(tau=0.5), theta=np.zeros(2), pi=np.zeros((2, 3)),
+                 objective=1.0, iterations=1, converged=True, primal_residual=0.0,
+                 dual_residual=0.0, singular_values=np.zeros(2))
 
     @pytest.mark.parametrize("field, value, message", [
         ("objective", np.nan, "objective"), ("objective", np.inf, "objective"),
@@ -218,6 +218,16 @@ class TestQuantileFit:
     def test_invariants(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             QuantileFit(**{**self.VALID, field: value})
+
+    def test_spectrum_must_be_pis(self):
+        # a random 6 x 8 pi has rank 6: a spectrum of its top 4 values is not its own
+        pi = np.random.default_rng(52).standard_normal((6, 8))
+        s = np.linalg.svd(pi, compute_uv=False)
+        assert QuantileFit(**{**self.VALID, "pi": pi, "singular_values": s}).rank_estimate == 6
+        for tail in (0.0, np.nan):
+            with pytest.raises(ValueError, match="not pi's"):
+                QuantileFit(**{**self.VALID, "pi": pi,
+                               "singular_values": np.where(np.arange(6) < 4, s, tail)})
 
 
 class TestSolverConfig:

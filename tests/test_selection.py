@@ -24,19 +24,18 @@ from quantfactor.simulate import DesignSpec, generate
 
 def fit_of(theta, pi, singular_values, tau=0.5):
     return QuantileFit(
-        tau=tau, theta=theta, pi=pi, objective=0.0, iterations=1, converged=True,
-        primal_residual=0.0, dual_residual=0.0, singular_values=singular_values,
+        config=SolverConfig(tau=tau), theta=theta, pi=pi, objective=0.0, iterations=1,
+        converged=True, primal_residual=0.0, dual_residual=0.0,
+        singular_values=singular_values,
     )
 
 
 def make_fit(tau, theta, pi, sparsity, rank):
-    """A fit with pi's shape whose spectrum holds `rank` ones; theta must hold `sparsity` nonzeros.
+    """A fit with pi's own spectrum; theta must hold `sparsity` nonzeros and pi have `rank`.
 
     bic_score reads its loss from theta and pi, and its counts from theta and the spectrum.
     """
-    spectrum = np.zeros(min(np.shape(pi)))
-    spectrum[:rank] = 1.0
-    f = fit_of(theta, pi, spectrum, tau)
+    f = fit_of(theta, pi, np.linalg.svd(pi, compute_uv=False), tau)
     assert (f.sparsity_estimate, f.rank_estimate) == (sparsity, rank)
     return f
 
@@ -77,8 +76,7 @@ class TestEstimators:
 
     @staticmethod
     def rank(singular_values):
-        k = len(singular_values)
-        return fit_of(np.zeros(1), np.zeros((k, k)), singular_values).rank_estimate
+        return fit_of(np.zeros(1), np.diag(singular_values), singular_values).rank_estimate
 
     def test_sparsity_zero_vector(self):
         assert self.sparsity(np.zeros(4)) == 0
@@ -109,10 +107,12 @@ class TestBicScore:
         assert bic_score(f, data) == 0.0
 
     def test_dimension_penalty_value(self):
-        # zero residuals, n = T = 10, s = 2, r = 1, c1 = log^2(100):
+        # zero residuals (y = pi), n = T = 10, s = 2, r = 1, c1 = log^2(100):
         # (log 100 / 2) * (2 log^2 100 + 21)
-        data = PanelData(np.zeros((10, 10)), np.zeros((10, 10, 3)))
-        f = make_fit(0.5, np.array([1.0, -1.0, 0.0]), np.zeros((10, 10)), sparsity=2, rank=1)
+        pi = np.zeros((10, 10))
+        pi[0, 0] = 1.0
+        data = PanelData(pi, np.zeros((10, 10, 3)))
+        f = make_fit(0.5, np.array([1.0, -1.0, 0.0]), pi, sparsity=2, rank=1)
         expected = (np.log(100.0) / 2.0) * (np.log(100.0) ** 2 * 2 + 21.0)
         got = bic_score(f, data, c1=np.log(100.0) ** 2)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -121,8 +121,12 @@ class TestBicScore:
     def test_linear_in_rank(self):
         data = PanelData(np.zeros((6, 7)), np.zeros((6, 7, 2)))
         theta = np.array([1.0, 0.0])
-        f1 = make_fit(0.5, theta, np.zeros((6, 7)), sparsity=1, rank=1)
-        f2 = make_fit(0.5, theta, np.zeros((6, 7)), sparsity=1, rank=2)
+        # equal losses: each pi's entries sum to 2 in absolute value
+        pi1, pi2 = np.zeros((6, 7)), np.zeros((6, 7))
+        pi1[0, 0] = 2.0
+        pi2[0, 0] = pi2[1, 1] = 1.0
+        f1 = make_fit(0.5, theta, pi1, sparsity=1, rank=1)
+        f2 = make_fit(0.5, theta, pi2, sparsity=1, rank=2)
         step = bic_score(f2, data) - bic_score(f1, data)
         assert step == pytest.approx(np.log(42.0) / 2.0 * (1 + 6 + 7), rel=1e-12)
 
@@ -130,7 +134,7 @@ class TestBicScore:
         rng = np.random.default_rng(51)
         inst = generate(DesignSpec("D1", 6, 8, 2, seed=3))
         theta = rng.standard_normal(2)
-        pi = rng.standard_normal((6, 8))
+        pi = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 8))
         f = make_fit(0.3, theta, pi, sparsity=2, rank=4)
         resid = inst.data.y - inst.data.x @ theta - pi
         loss = float(np.sum(pinball_loss(resid, 0.3)))
@@ -157,9 +161,10 @@ class TestGridSearch:
             raise AssertionError("fit called before c1 was checked")
 
         monkeypatch.setattr(selection, "fit", no_fit)
-        grid = TuningGrid(nu1_values=np.array([1e-3]), nu2_values=np.array([1e-2]))
         with pytest.raises(ValueError, match="c1"):
-            grid_search(self.small_instance(), grid, self.config(), c1=c1)
+            grid = TuningGrid(nu1_values=np.array([1e-3]), nu2_values=np.array([1e-2]),
+                              c1=c1)
+            grid_search(self.small_instance(), grid, self.config())
 
     def test_single_point_grid(self):
         data = self.small_instance()
@@ -246,7 +251,7 @@ class TestGridPath:
     def walk(self, config, nu1_values=NU1, nu2_values=NU2, on_point=None):
         """Fit every grid_path point; on_point(cfg, state) runs before each fit."""
         results = []
-        for cfg, state in grid_path(self.data, nu1_values, nu2_values, config):
+        for cfg, state in grid_path(self.data, TuningGrid(nu1_values, nu2_values), config):
             if on_point is not None:
                 on_point(cfg, state)
             results.append(fit(self.data, cfg, self.scales, init=state))
@@ -294,10 +299,15 @@ class TestGridPath:
 
     def test_fix_pi_zero_path_chains_along_nu1(self):
         config = SolverConfig(tau=0.5, max_iter=20000, fix_pi_zero=True)
-        starts = []
-        results = self.walk(config, nu2_values=np.array([0.0]),
-                            on_point=lambda cfg, state: starts.append(copy.deepcopy(state)))
+        starts, nu2s = [], []
+
+        def on_point(cfg, state):
+            starts.append(copy.deepcopy(state))
+            nu2s.append(cfg.nu2)
+
+        results = self.walk(config, on_point=on_point)
         assert len(results) == len(self.NU1)
+        assert nu2s == [0.0] * len(self.NU1)
         assert not starts[0].z_theta.any()
         for prev, start in zip(results, starts[1:]):
             np.testing.assert_array_equal(start.z_theta, prev.theta)
